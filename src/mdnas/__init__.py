@@ -4,25 +4,17 @@ hypothesis."""
 
 from .search_space import (
     OP_NAMES,
-    OperationKind,
-    OPERATIONS,
     NodeId,
     Edge,
     CellTemplate,
     Genotype,
-    NetworkTemplate,
     build_cell_template,
     derive_genotype,
     search_space_size,
 )
 from .distribution import (
-    EdgeDistribution,
-    GateVector,
-    DifferentialPair,
-    init_uniform,
     sample_gate,
     record_feedback,
-    differentials,
     update_probs,
 )
 from .evaluator import (
@@ -36,23 +28,15 @@ from .engine import SearchConfig, SearchResult, Searcher, run_search
 
 __all__ = [
     "OP_NAMES",
-    "OperationKind",
-    "OPERATIONS",
     "NodeId",
     "Edge",
     "CellTemplate",
     "Genotype",
-    "NetworkTemplate",
     "build_cell_template",
     "derive_genotype",
     "search_space_size",
-    "EdgeDistribution",
-    "GateVector",
-    "DifferentialPair",
-    "init_uniform",
     "sample_gate",
     "record_feedback",
-    "differentials",
     "update_probs",
     "TabularOracle",
     "SurrogateCurveEvaluator",

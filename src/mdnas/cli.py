@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,7 +24,6 @@ import numpy as np
 from .engine import SearchConfig, Searcher, build_evaluator, write_trace_csv
 from .evaluator import SurrogateCurveEvaluator
 from .ranking import mean_tau, read_scores_csv, tau_trace, write_tau_csv
-from .search_space import derive_genotype
 
 log = logging.getLogger("mdnas")
 
@@ -36,23 +36,21 @@ class ConfigError(Exception):
     pass
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_via(path: Path, writer_fn) -> None:
+def _atomic_write(path: Path, content) -> None:
+    """Write `content` to `path` through a temporary file in the same
+    directory and a rename.  `content` is the text, or a function that
+    writes the file at the path it is given.  The file gets the mode a
+    plain open() would create it with."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     os.close(fd)
     try:
-        writer_fn(tmp)
+        if isinstance(content, str):
+            Path(tmp).write_text(content)
+        else:
+            content(tmp)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,7 +58,9 @@ def _atomic_write_via(path: Path, writer_fn) -> None:
         raise
 
 
-def _load_config(path: str, seed_override: int | None = None) -> SearchConfig:
+def _load_config(path: str, seed_override: int | None = None):
+    """Read and validate a config file.  Returns the config and its `seeds`
+    list (None for a single run); the config's seed is the first seed."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -70,23 +70,36 @@ def _load_config(path: str, seed_override: int | None = None) -> SearchConfig:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    seeds = doc.pop("seeds", None)
+    if seeds is not None:
+        if seed_override is not None:
+            raise ConfigError("--seed cannot be combined with a 'seeds' list")
+        if (
+            not isinstance(seeds, list)
+            or not seeds
+            or not all(type(s) is int and s >= 0 for s in seeds)
+        ):
+            raise ConfigError("seeds must be a non-empty list of non-negative integers")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError(f"seeds must be distinct, got {seeds}")
+        seed_override = seeds[0]
     if seed_override is not None:
         doc["seed"] = seed_override
     try:
-        return SearchConfig.from_dict(doc)
+        return SearchConfig.from_dict(doc), seeds
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _run_one_search(config: SearchConfig, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     searcher = Searcher(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = searcher.run()
     snapshot = searcher.checkpoint()
 
     trace_path = out_dir / "trace.csv"
-    _atomic_write_via(
+    _atomic_write(
         trace_path,
         lambda tmp: write_trace_csv(
             tmp, result.trace, searcher.edges_per_cell, config.num_ops
@@ -117,41 +130,31 @@ def _run_one_search(config: SearchConfig, out_dir: Path) -> dict:
 
 
 def _seed_job(args):
-    config_doc, seed, out_dir = args
-    config_doc = dict(config_doc, seed=seed)
-    config_doc.pop("seeds", None)
-    config = SearchConfig.from_dict(config_doc)
+    config, out_dir = args
     return _run_one_search(config, Path(out_dir))
 
 
 def cmd_search(args) -> int:
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    seeds = raw.pop("seeds", None) if isinstance(raw, dict) else None
-    if seeds is not None:
-        # multi-seed batch: one subdirectory per seed
-        base = Path(args.out)
-        base.mkdir(parents=True, exist_ok=True)
-        jobs = [(raw, s, str(base / f"seed_{s}")) for s in seeds]
-        for _, s, d in jobs:
-            SearchConfig.from_dict(dict(raw, seed=s))  # validate before forking
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                list(pool.map(_seed_job, jobs))
-        else:
-            for job in jobs:
-                _seed_job(job)
+    config, seeds = _load_config(args.config, args.seed)
+    if seeds is None:
+        _run_one_search(config, Path(args.out))
         return EXIT_OK
-    config = _load_config(args.config, args.seed)
-    _run_one_search(config, Path(args.out))
+    # multi-seed batch: one subdirectory per seed
+    base = Path(args.out)
+    jobs = [(replace(config, seed=s), str(base / f"seed_{s}")) for s in seeds]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            list(pool.map(_seed_job, jobs))
+    else:
+        for job in jobs:
+            _seed_job(job)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config, args.seed)
+    config, seeds = _load_config(args.config, args.seed)
+    if seeds is not None:
+        raise ConfigError("simulate takes a single seed, not a 'seeds' list")
     evaluator = build_evaluator(config)
     if not isinstance(evaluator, SurrogateCurveEvaluator):
         raise ConfigError("simulate requires a surrogate evaluator")
@@ -169,7 +172,7 @@ def cmd_simulate(args) -> int:
                     acc = evaluator.evaluate(arch, epoch)
                     writer.writerow([epoch, f"a{arch_id:04d}", f"{acc:.10f}"])
 
-    _atomic_write_via(out, write)
+    _atomic_write(out, write)
     return EXIT_OK
 
 
@@ -184,7 +187,7 @@ def cmd_analyze_tau(args) -> int:
         raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_via(out, lambda tmp: write_tau_csv(tmp, trace))
+    _atomic_write(out, lambda tmp: write_tau_csv(tmp, trace))
     log.info("mean tau (excluding final epoch): %.4f", mean_tau(trace))
     return EXIT_OK
 
@@ -196,24 +199,14 @@ def cmd_derive(args) -> int:
         searcher = Searcher.from_checkpoint(snapshot)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad checkpoint: {exc}") from exc
-    genotypes = {}
-    for cell_idx, template in enumerate(searcher.templates):
-        block = searcher.dists[
-            cell_idx * searcher.edges_per_cell : (cell_idx + 1) * searcher.edges_per_cell
-        ]
-        try:
-            genotype = derive_genotype(
-                template,
-                [d.probs for d in block],
-                args.k,
-                exclude_none=searcher.config.exclude_none,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        genotypes[template.kind] = json.loads(genotype.to_json())
+    try:
+        genotypes = searcher.genotypes(args.k)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    doc = {g.kind: json.loads(g.to_json()) for g in genotypes}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out, json.dumps(genotypes, indent=2))
+    _atomic_write(out, json.dumps(doc, indent=2))
     return EXIT_OK
 
 

@@ -1,15 +1,17 @@
-"""Per-edge multinomial distribution with epoch/accuracy feedback.
+"""Multinomial distributions over operations with epoch/accuracy feedback.
 
-Each edge keeps a probability vector over its M candidate operations together
-with two feedback records: how many epochs each operation has been sampled and
-the accuracy observed while it was the sampled one.  The update rule compares
-operations pairwise and shifts probability toward operations that reached
-higher accuracy in fewer epochs.
+The search state is three (edges x ops) arrays: the probability of each
+operation, how many epochs it has been sampled, and the accuracy observed
+while it was the sampled one.  An op has been seen once its count is >= 1.
+The update rule compares operations pairwise and shifts probability toward
+operations that reached higher accuracy in fewer epochs.
+
+`sample_gate` draws for one edge from its own generator.  The other kernels
+work on a single (M,) row or on an (E, M) batch through the same code; a
+batch gives, bit for bit, what the rows give one by one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,132 +20,72 @@ PROB_FLOOR = 1e-6
 AGGREGATIONS = ("latest", "mean", "max")
 
 
-@dataclass(frozen=True)
-class EdgeDistribution:
-    probs: np.ndarray        # length M, on the simplex
-    epoch_counts: np.ndarray  # length M, int, cumulative selections
-    acc_records: np.ndarray   # length M, accuracy record per op
-    seen: np.ndarray          # length M, bool, op ever sampled
-
-    @property
-    def num_ops(self) -> int:
-        return len(self.probs)
-
-    def to_dict(self) -> dict:
-        return {
-            "probs": self.probs.tolist(),
-            "epochs": self.epoch_counts.tolist(),
-            "acc": self.acc_records.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EdgeDistribution":
-        epochs = np.asarray(doc["epochs"], dtype=np.int64)
-        return cls(
-            probs=np.asarray(doc["probs"], dtype=float),
-            epoch_counts=epochs,
-            acc_records=np.asarray(doc["acc"], dtype=float),
-            seen=epochs >= 1,
-        )
-
-
-@dataclass(frozen=True)
-class GateVector:
-    vector: np.ndarray  # one-hot, length M
-    sampled_op: int
-
-
-@dataclass(frozen=True)
-class DifferentialPair:
-    delta_epoch: np.ndarray  # MxM, antisymmetric
-    delta_acc: np.ndarray    # MxM, antisymmetric
-
-
-def init_uniform(num_ops: int) -> EdgeDistribution:
-    if num_ops < 1:
-        raise ValueError("num_ops must be >= 1")
-    return EdgeDistribution(
-        probs=np.full(num_ops, 1.0 / num_ops),
-        epoch_counts=np.zeros(num_ops, dtype=np.int64),
-        acc_records=np.zeros(num_ops),
-        seen=np.zeros(num_ops, dtype=bool),
-    )
-
-
-def sample_gate(dist: EdgeDistribution, rng: np.random.Generator) -> GateVector:
-    """Draw a one-hot gate; consumes exactly one uniform variate so replays
-    with the same generator state are reproducible."""
+def sample_gate(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw the sampled op of one edge; consumes exactly one uniform variate
+    so replays with the same generator state are reproducible."""
     u = rng.random()
-    cum = np.cumsum(dist.probs)
+    cum = np.cumsum(probs)
     op = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    op = min(op, dist.num_ops - 1)
-    vec = np.zeros(dist.num_ops)
-    vec[op] = 1.0
-    return GateVector(vec, op)
+    return min(op, len(probs) - 1)
 
 
 def record_feedback(
-    dist: EdgeDistribution,
-    gate: GateVector,
+    counts: np.ndarray,
+    acc: np.ndarray,
+    ops,
     accuracy: float,
     aggregation: str = "latest",
-) -> EdgeDistribution:
-    """Credit the sampled op with one epoch and the observed accuracy."""
+) -> None:
+    """Credit each edge's sampled op (`ops`: one id per row) with one epoch
+    and the observed accuracy, in place."""
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError("accuracy must lie in [0, 1]")
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-    op = gate.sampled_op
-    counts = dist.epoch_counts.copy()
-    acc = dist.acc_records.copy()
-    seen = dist.seen.copy()
-    counts[op] += 1
-    if aggregation == "latest" or not seen[op]:
-        acc[op] = accuracy
-    elif aggregation == "mean":
-        acc[op] += (accuracy - acc[op]) / counts[op]
-    else:  # max
-        acc[op] = max(acc[op], accuracy)
-    seen[op] = True
-    return EdgeDistribution(dist.probs, counts, acc, seen)
+    ops = np.asarray(ops)[..., None]
+    n = np.take_along_axis(counts, ops, -1) + 1
+    old = np.take_along_axis(acc, ops, -1)
+    if aggregation == "mean":
+        new = old + (accuracy - old) / n
+    elif aggregation == "max":
+        new = np.maximum(old, accuracy)
+    else:  # latest
+        new = accuracy
+    new = np.where(n == 1, accuracy, new)
+    np.put_along_axis(counts, ops, n, -1)
+    np.put_along_axis(acc, ops, new, -1)
 
 
-def differentials(dist: EdgeDistribution) -> DifferentialPair:
-    """Pairwise differences of the epoch and accuracy records:
-    delta[i][j] = record[i] - record[j]."""
-    e = dist.epoch_counts.astype(float)
-    a = dist.acc_records
-    return DifferentialPair(e[:, None] - e[None, :], a[:, None] - a[None, :])
-
-
-def net_credit(dist: EdgeDistribution, diff: DifferentialPair) -> np.ndarray:
+def net_credit(counts: np.ndarray, acc: np.ndarray) -> np.ndarray:
     """Integer dominance balance per op: +1 for every op it beats (fewer
     epochs, higher accuracy), -1 for every op that beats it.  Pairs with an
     unseen op contribute nothing.  Sums to exactly zero by antisymmetry."""
-    mask = dist.seen[:, None] & dist.seen[None, :]
-    wins = (diff.delta_epoch < 0) & (diff.delta_acc > 0) & mask
-    losses = (diff.delta_epoch > 0) & (diff.delta_acc < 0) & mask
-    return wins.sum(axis=1).astype(np.int64) - losses.sum(axis=1).astype(np.int64)
+    seen = counts >= 1
+    beats = (
+        (counts[..., :, None] < counts[..., None, :])
+        & (acc[..., :, None] > acc[..., None, :])
+        & seen[..., :, None]
+        & seen[..., None, :]
+    )
+    return beats.sum(axis=-1, dtype=np.int64) - beats.sum(axis=-2, dtype=np.int64)
 
 
-def raw_deltas(
-    dist: EdgeDistribution, diff: DifferentialPair, alpha: float
-) -> np.ndarray:
+def raw_deltas(counts: np.ndarray, acc: np.ndarray, alpha: float) -> np.ndarray:
     """Pre-clamp probability increments: alpha times the dominance balance."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return alpha * net_credit(dist, diff)
+    return alpha * net_credit(counts, acc)
 
 
 def update_probs(
-    dist: EdgeDistribution, diff: DifferentialPair, alpha: float
-) -> EdgeDistribution:
+    probs: np.ndarray, counts: np.ndarray, acc: np.ndarray, alpha: float
+) -> np.ndarray:
     """Apply the pairwise-dominance increments, then clamp to the exploration
     floor and renormalize.  The renormalization rescales only the mass above
     the floor so min(probs) never drops below PROB_FLOOR."""
-    delta = raw_deltas(dist, diff, alpha)
-    m = dist.num_ops
-    clamped = np.clip(dist.probs + delta, PROB_FLOOR, 1.0)
+    delta = raw_deltas(counts, acc, alpha)
+    m = probs.shape[-1]
+    clamped = np.clip(probs + delta, PROB_FLOOR, 1.0)
     excess = clamped - PROB_FLOOR
-    probs = PROB_FLOOR + excess * ((1.0 - m * PROB_FLOOR) / excess.sum())
-    return EdgeDistribution(probs, dist.epoch_counts, dist.acc_records, dist.seen)
+    scale = (1.0 - m * PROB_FLOOR) / excess.sum(axis=-1, keepdims=True)
+    return PROB_FLOOR + excess * scale

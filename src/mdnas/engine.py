@@ -13,15 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .distribution import (
-    AGGREGATIONS,
-    EdgeDistribution,
-    differentials,
-    init_uniform,
-    record_feedback,
-    sample_gate,
-    update_probs,
-)
+from .distribution import AGGREGATIONS, record_feedback, sample_gate, update_probs
 from .evaluator import SurrogateCurveEvaluator, TabularOracle
 from .search_space import CELL_KINDS, Genotype, build_cell_template, derive_genotype
 
@@ -47,6 +39,8 @@ class SearchConfig:
             raise ValueError("epochs must be >= 1")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if not 1 <= self.k <= 2:
+            raise ValueError("k must be 1 or 2, the in-degree of node B1")
         if not 0 < self.convergence_threshold <= 1:
             raise ValueError("convergence_threshold must lie in (0, 1]")
         if self.acc_aggregation not in AGGREGATIONS:
@@ -132,8 +126,6 @@ class EpochRecord:
     arch: tuple[int, ...]  # sampled op per edge, norm block then reduction
     accuracy: float
     probs: tuple[tuple[float, ...], ...]  # post-update, per edge
-    max_probs: tuple[float, ...]
-    entropies: tuple[float, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -145,20 +137,12 @@ class EpochRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EpochRecord":
-        probs = tuple(tuple(p) for p in doc["probs"])
         return cls(
             epoch=doc["epoch"],
             arch=tuple(doc["arch"]),
             accuracy=doc["accuracy"],
-            probs=probs,
-            max_probs=tuple(max(p) for p in probs),
-            entropies=tuple(_entropy(np.asarray(p)) for p in probs),
+            probs=tuple(tuple(p) for p in doc["probs"]),
         )
-
-
-def _entropy(p: np.ndarray) -> float:
-    p = np.clip(p, 1e-300, None)
-    return float(-(p * np.log(p)).sum())
 
 
 @dataclass(frozen=True)
@@ -171,7 +155,10 @@ class SearchResult:
 class Searcher:
     """Owns the joint search state and advances it one epoch at a time.
 
-    Each edge gets its own RNG substream keyed by its global index, so the
+    The state is three (edges x ops) arrays, norm edges then reduction
+    edges: `probs`, the sampling distribution of each edge; `counts`, the
+    epochs each op has been sampled; and `acc`, its accuracy record.  Each
+    edge gets its own RNG substream keyed by its global index, so the
     sampled trajectory does not depend on edge iteration order and survives
     checkpoint round-trips bit-for-bit.
     """
@@ -184,7 +171,10 @@ class Searcher:
         self.edges_per_cell = self.templates[0].num_edges
         self.num_edges = 2 * self.edges_per_cell
         self.evaluator = build_evaluator(config)
-        self.dists = [init_uniform(config.num_ops) for _ in range(self.num_edges)]
+        shape = (self.num_edges, config.num_ops)
+        self.probs = np.full(shape, 1.0 / config.num_ops)
+        self.counts = np.zeros(shape, dtype=np.int64)
+        self.acc = np.zeros(shape)
         self.rngs = [
             np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(i,)))
@@ -196,47 +186,35 @@ class Searcher:
 
     def step(self) -> EpochRecord:
         self.epoch += 1
-        gates = [sample_gate(d, rng) for d, rng in zip(self.dists, self.rngs)]
-        arch = tuple(g.sampled_op for g in gates)
+        arch = tuple(sample_gate(p, rng) for p, rng in zip(self.probs, self.rngs))
         accuracy = self.evaluator.evaluate(arch, self.epoch)
-        new_dists = []
-        for dist, gate in zip(self.dists, gates):
-            dist = record_feedback(dist, gate, accuracy, self.config.acc_aggregation)
-            dist = update_probs(dist, differentials(dist), self.config.alpha)
-            new_dists.append(dist)
-        self.dists = new_dists
+        record_feedback(self.counts, self.acc, arch, accuracy, self.config.acc_aggregation)
+        self.probs = update_probs(self.probs, self.counts, self.acc, self.config.alpha)
         record = EpochRecord(
             epoch=self.epoch,
             arch=arch,
             accuracy=accuracy,
-            probs=tuple(tuple(float(v) for v in d.probs) for d in self.dists),
-            max_probs=tuple(float(d.probs.max()) for d in self.dists),
-            entropies=tuple(_entropy(d.probs) for d in self.dists),
+            probs=tuple(map(tuple, self.probs.tolist())),
         )
         self.trace.append(record)
         return record
 
     def converged(self) -> bool:
-        return all(
-            float(d.probs.max()) >= self.config.convergence_threshold
-            for d in self.dists
-        )
+        return bool((self.probs.max(axis=1) >= self.config.convergence_threshold).all())
 
-    def genotypes(self) -> tuple[Genotype, Genotype]:
-        out = []
-        for cell_idx, template in enumerate(self.templates):
-            block = self.dists[
-                cell_idx * self.edges_per_cell : (cell_idx + 1) * self.edges_per_cell
-            ]
-            out.append(
-                derive_genotype(
-                    template,
-                    [d.probs for d in block],
-                    self.config.k,
-                    exclude_none=self.config.exclude_none,
-                )
+    def genotypes(self, k: int | None = None) -> tuple[Genotype, Genotype]:
+        """Derive both cells' genotypes at `k` (default: the config's k)."""
+        k = self.config.k if k is None else k
+        n = self.edges_per_cell
+        return tuple(
+            derive_genotype(
+                template,
+                self.probs[i * n : (i + 1) * n],
+                k,
+                exclude_none=self.config.exclude_none,
             )
-        return tuple(out)
+            for i, template in enumerate(self.templates)
+        )
 
     def run(self) -> SearchResult:
         while self.epoch < self.config.epochs:
@@ -251,7 +229,12 @@ class Searcher:
             "config": self.config.to_dict(),
             "config_hash": self.config.digest(),
             "epoch": self.epoch,
-            "distributions": [d.to_dict() for d in self.dists],
+            "distributions": [
+                {"probs": p, "epochs": e, "acc": a}
+                for p, e, a in zip(
+                    self.probs.tolist(), self.counts.tolist(), self.acc.tolist()
+                )
+            ],
             "rng_states": [rng.bit_generator.state for rng in self.rngs],
             "trace": [r.to_dict() for r in self.trace],
         }
@@ -264,11 +247,15 @@ class Searcher:
             raise ValueError("checkpoint config hash does not match")
         searcher = cls(config)
         searcher.epoch = snapshot["epoch"]
-        searcher.dists = [
-            EdgeDistribution.from_dict(doc) for doc in snapshot["distributions"]
-        ]
-        if len(searcher.dists) != searcher.num_edges:
+        docs = snapshot["distributions"]
+        if len(docs) != searcher.num_edges:
             raise ValueError("checkpoint has the wrong number of edges")
+        searcher.probs = np.array([d["probs"] for d in docs], dtype=float)
+        searcher.counts = np.array([d["epochs"] for d in docs], dtype=np.int64)
+        searcher.acc = np.array([d["acc"] for d in docs], dtype=float)
+        shape = (searcher.num_edges, config.num_ops)
+        if not searcher.probs.shape == searcher.counts.shape == searcher.acc.shape == shape:
+            raise ValueError("checkpoint distributions have the wrong number of ops")
         for rng, state in zip(searcher.rngs, snapshot["rng_states"]):
             rng.bit_generator.state = state
         searcher.trace = [EpochRecord.from_dict(doc) for doc in snapshot["trace"]]

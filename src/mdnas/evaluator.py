@@ -19,13 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .search_space import (
-    CellTemplate,
-    Genotype,
-    NUM_OPS,
-    OP_NAMES,
-    derive_genotype,
-)
+from .search_space import CellTemplate, Genotype, NUM_OPS, OP_NAMES, _top_k_genotype
 
 # An architecture sample is one op id per oracle edge.
 ArchitectureSample = tuple[int, ...]
@@ -52,6 +46,8 @@ class TabularOracle:
             raise ValueError("q must be a (num_edges, num_ops) table")
         if np.any(q < 0) or np.any(q > 1):
             raise ValueError("q entries must lie in [0, 1]")
+        if interaction_strength < 0:
+            raise ValueError("interaction_strength must be >= 0")
         self.q = q
         self.seed = seed
         self.num_intermediate = num_intermediate
@@ -149,25 +145,7 @@ def best_genotype(
     block = oracle.q[edge_offset : edge_offset + template.num_edges]
     if len(block) != template.num_edges:
         raise ValueError("oracle table too small for template at this offset")
-    num_ops = oracle.num_ops
-    nodes = []
-    for i in range(1, template.num_intermediate + 1):
-        incoming = template.incoming(i)
-        if k > len(incoming):
-            raise ValueError(f"k={k} exceeds in-degree {len(incoming)} of node B{i}")
-        scored = []
-        for edge_idx in incoming:
-            op = int(np.argmax(block[edge_idx]))
-            scored.append((-block[edge_idx][op], edge_idx, op))
-        scored.sort()
-        picks = []
-        for _, edge_idx, op in scored[:k]:
-            src = template.edges[edge_idx].src
-            picks.append(
-                (src.label, OP_NAMES[op] if num_ops == NUM_OPS else str(op))
-            )
-        nodes.append(tuple(picks))
-    return Genotype(template.kind, tuple(nodes))
+    return _top_k_genotype(template, block, k)
 
 
 def _norm_cdf(x: float) -> float:
@@ -196,6 +174,8 @@ class SurrogateCurveEvaluator:
         seed: int = 0,
         calibration_pairs: int = 512,
     ):
+        if tau_c <= 0:
+            raise ValueError("tau_c must be positive")
         if not 0.5 <= consistency <= 1.0:
             raise ValueError("consistency must lie in [0.5, 1]")
         if (consistency_final is None) != (ramp_epochs is None):

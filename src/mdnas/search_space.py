@@ -32,15 +32,6 @@ NONE_OP_ID = OP_NAMES.index("none")
 CELL_KINDS = ("norm", "reduction")
 
 
-@dataclass(frozen=True)
-class OperationKind:
-    id: int
-    name: str
-
-
-OPERATIONS = tuple(OperationKind(i, n) for i, n in enumerate(OP_NAMES))
-
-
 @dataclass(frozen=True, order=True)
 class NodeId:
     """A node in a cell DAG.
@@ -75,16 +66,6 @@ class NodeId:
         if self.rank == 1:
             return f"B{self.index}"
         return "O"
-
-    @classmethod
-    def from_label(cls, label: str) -> "NodeId":
-        if label == "O":
-            return cls.output()
-        if label.startswith("I"):
-            return cls.input(int(label[1:]))
-        if label.startswith("B"):
-            return cls.intermediate(int(label[1:]))
-        raise ValueError(f"unknown node label: {label!r}")
 
 
 @dataclass(frozen=True)
@@ -161,22 +142,6 @@ class Genotype:
         return cls(doc["kind"], nodes)
 
 
-@dataclass(frozen=True)
-class NetworkTemplate:
-    """Stacked-cell network description.  Metadata only: channel counts and
-    input size are carried for bookkeeping, never as tensors."""
-
-    num_cells: int
-    reduction_positions: tuple[int, ...]
-    init_channels: int = 16
-    input_size: tuple[int, int] = (32, 32)
-
-    def __post_init__(self):
-        for p in self.reduction_positions:
-            if not 0 <= p < self.num_cells:
-                raise ValueError("reduction position out of range")
-
-
 def _validate_probs(probs: np.ndarray, num_ops: int) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (num_ops,):
@@ -203,7 +168,19 @@ def derive_genotype(
         raise ValueError("need one probability vector per template edge")
     num_ops = len(distributions[0])
     probs = [_validate_probs(p, num_ops) for p in distributions]
+    return _top_k_genotype(template, probs, k, exclude_none)
 
+
+def _top_k_genotype(
+    template: CellTemplate,
+    scores: Sequence[np.ndarray],
+    k: int,
+    exclude_none: bool = False,
+) -> Genotype:
+    """Per intermediate node, the k incoming edges whose best allowed op
+    scores highest, each with that op; ties as in derive_genotype.  Rows
+    need not be probabilities (best_genotype passes quality rows)."""
+    num_ops = len(scores[0])
     allowed = np.ones(num_ops, dtype=bool)
     if exclude_none and NONE_OP_ID < num_ops:
         allowed[NONE_OP_ID] = False
@@ -217,9 +194,9 @@ def derive_genotype(
             )
         scored = []
         for edge_idx in incoming:
-            p = np.where(allowed, probs[edge_idx], -np.inf)
-            op_id = int(np.argmax(p))  # argmax takes the lowest id on ties
-            scored.append((-p[op_id], edge_idx, op_id))
+            row = np.where(allowed, scores[edge_idx], -np.inf)
+            op_id = int(np.argmax(row))  # argmax takes the lowest id on ties
+            scored.append((-row[op_id], edge_idx, op_id))
         scored.sort()
         picks = []
         for _, edge_idx, op_id in scored[:k]:

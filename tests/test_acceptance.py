@@ -14,15 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mdnas.distribution import (
-    EdgeDistribution,
-    differentials,
-    init_uniform,
-    net_credit,
-    raw_deltas,
-    sample_gate,
-    update_probs,
-)
+from mdnas.distribution import net_credit, raw_deltas, sample_gate, update_probs
 from mdnas.engine import SearchConfig, Searcher, write_trace_csv
 from mdnas.evaluator import SurrogateCurveEvaluator, TabularOracle
 from mdnas.ranking import kendall_tau, mean_tau, tau_trace
@@ -38,14 +30,10 @@ def _report(capsys, criterion, label, ok, detail=""):
     assert ok, line
 
 
-def _fuzzed_dist(rng, m, probs=None):
+def _fuzzed_records(rng, m):
+    """Random (counts, acc) records for one edge with m ops."""
     epochs = rng.integers(0, 50, size=m)
-    return EdgeDistribution(
-        probs=probs if probs is not None else np.full(m, 1.0 / m),
-        epoch_counts=epochs.astype(np.int64),
-        acc_records=rng.random(m),
-        seen=epochs >= 1,
-    )
+    return epochs.astype(np.int64), rng.random(m)
 
 
 def test_criterion_1_simplex_safety(capsys):
@@ -53,14 +41,15 @@ def test_criterion_1_simplex_safety(capsys):
     rng = np.random.default_rng(0)
     worst_sum, worst_min = 0.0, 1.0
     ok = True
-    d = init_uniform(8)
+    probs = np.full(8, 1.0 / 8)
     for step in range(10_000):
         if step % 500 == 0:
-            d = init_uniform(int(rng.integers(2, 12)))
-        d = _fuzzed_dist(rng, d.num_ops, probs=d.probs)
-        d = update_probs(d, differentials(d), float(rng.uniform(0.001, 0.05)))
-        worst_sum = max(worst_sum, abs(d.probs.sum() - 1.0))
-        worst_min = min(worst_min, d.probs.min())
+            m = int(rng.integers(2, 12))
+            probs = np.full(m, 1.0 / m)
+        counts, acc = _fuzzed_records(rng, len(probs))
+        probs = update_probs(probs, counts, acc, float(rng.uniform(0.001, 0.05)))
+        worst_sum = max(worst_sum, abs(probs.sum() - 1.0))
+        worst_min = min(worst_min, probs.min())
         if worst_sum > 1e-9 or worst_min < 1e-6:
             ok = False
             break
@@ -75,16 +64,12 @@ def test_criterion_1_simplex_safety(capsys):
 def test_criterion_2_update_rule_exactness(capsys):
     rng = np.random.default_rng(1)
     net_ok = all(
-        net_credit(d, differentials(d)).sum() == 0
-        for d in (_fuzzed_dist(rng, int(rng.integers(2, 12))) for _ in range(2000))
+        net_credit(*records).sum() == 0
+        for records in (_fuzzed_records(rng, int(rng.integers(2, 12))) for _ in range(2000))
     )
-    d = EdgeDistribution(
-        probs=np.full(3, 1.0 / 3),
-        epoch_counts=np.array([1, 2, 3], dtype=np.int64),
-        acc_records=np.array([0.9, 0.5, 0.1]),
-        seen=np.array([True, True, True]),
+    deltas = raw_deltas(
+        np.array([1, 2, 3], dtype=np.int64), np.array([0.9, 0.5, 0.1]), 0.01
     )
-    deltas = raw_deltas(d, differentials(d), 0.01)
     example_ok = bool(np.all(np.abs(deltas - [0.02, 0.0, -0.02]) <= 1e-12))
     _report(
         capsys, 2, "update increments antisymmetric and exact", net_ok and example_ok,
@@ -125,12 +110,10 @@ def test_criterion_4_sampling_fidelity(capsys):
     n = 80_000
     for trial in range(20):
         probs = rng.dirichlet(np.ones(8))
-        d = init_uniform(8)
-        d = EdgeDistribution(probs, d.epoch_counts, d.acc_records, d.seen)
         draw_rng = np.random.default_rng(1000 + trial)
         counts = np.zeros(8)
         for _ in range(n):
-            counts[sample_gate(d, draw_rng).sampled_op] += 1
+            counts[sample_gate(probs, draw_rng)] += 1
         expected = n * probs
         if ((counts - expected) ** 2 / expected).sum() < crit:
             passes += 1
@@ -164,7 +147,7 @@ def _argmax_match(num_intermediate, num_ops, seed):
     )
     s = Searcher(cfg)
     s.run()
-    probs = np.array([d.probs for d in s.dists])
+    probs = s.probs
     hits = int((probs.argmax(axis=1) == best).sum())
     return hits, edges, float(probs[np.arange(edges), best].mean())
 
@@ -220,7 +203,7 @@ def test_criterion_6_search_quality_under_noisy_evaluation(capsys):
         )
         s = Searcher(cfg)
         s.run()
-        arch = tuple(int(np.argmax(d.probs)) for d in s.dists)
+        arch = tuple(int(op) for op in s.probs.argmax(axis=1))
         finals.append(oracle.true_score(arch))
     rng = np.random.default_rng(99)
     random_scores = np.array(

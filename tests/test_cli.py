@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 
 import pytest
 
@@ -118,6 +120,72 @@ def test_search_multi_seed_parallel_matches_serial(tmp_path):
         assert (serial / f"seed_{s}" / "trace.csv").read_bytes() == (
             parallel / f"seed_{s}" / "trace.csv"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_search_outputs_get_the_mode_the_umask_allows(tmp_path, umask, mode):
+    cfg = tmp_path / "config.json"
+    write_config(cfg)
+    out = tmp_path / "run"
+    old = os.umask(umask)
+    try:
+        assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    for name in OUTPUT_FILES:
+        assert stat.S_IMODE((out / name).stat().st_mode) == mode, name
+
+
+@pytest.mark.parametrize(
+    "overrides,argv,message",
+    [
+        ({"seeds": [1, 1]}, [], "distinct"),
+        ({"seeds": 3}, [], "list"),
+        ({"seeds": []}, [], "list"),
+        ({"seeds": [0, 1]}, ["--seed", "4"], "--seed"),
+    ],
+    ids=["repeated", "not-a-list", "empty", "with-seed-flag"],
+)
+def test_search_rejects_bad_seeds_before_any_output(tmp_path, capsys, overrides, argv, message):
+    cfg = tmp_path / "config.json"
+    write_config(cfg, **overrides)
+    out = tmp_path / "batch"
+    assert main(["search", "--config", str(cfg), "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+BAD_VALUES = {
+    "k-3": {"k": 3},
+    "tau_c-0": {"evaluator": {"type": "surrogate", "seed": 1, "tau_c": 0}},
+    "tau_c-negative": {"evaluator": {"type": "surrogate", "seed": 1, "tau_c": -5}},
+    "interaction-negative": {
+        "evaluator": {"type": "tabular", "seed": 1, "interaction_strength": -0.1}
+    },
+    "batch-tau_c-0": {
+        "seeds": [0, 1],
+        "evaluator": {"type": "surrogate", "seed": 1, "tau_c": 0},
+    },
+}
+
+
+@pytest.mark.parametrize("overrides", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_search_rejects_bad_values_before_any_output(tmp_path, capsys, overrides):
+    cfg = tmp_path / "config.json"
+    write_config(cfg, **overrides)
+    out = tmp_path / "run"
+    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_nonpositive_tau_c(tmp_path):
+    cfg = tmp_path / "config.json"
+    write_config(cfg, evaluator={"type": "surrogate", "seed": 1, "tau_c": 0})
+    out = tmp_path / "scores" / "s.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.parent.exists()
 
 
 def test_simulate_then_analyze_tau(tmp_path):

@@ -1,60 +1,61 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from mdnas.distribution import (
+    AGGREGATIONS,
     net_credit,
     PROB_FLOOR,
-    differentials,
-    init_uniform,
     raw_deltas,
     record_feedback,
     sample_gate,
     update_probs,
 )
+from mdnas.engine import SearchConfig, Searcher
 
 
-def _gate(dist, op):
-    vec = np.zeros(dist.num_ops)
-    vec[op] = 1.0
-    from mdnas.distribution import GateVector
+def _records(m):
+    """Fresh (probs, counts, acc) rows for one edge with m ops."""
+    return np.full(m, 1.0 / m), np.zeros(m, dtype=np.int64), np.zeros(m)
 
-    return GateVector(vec, op)
+
+def _config(num_ops):
+    return SearchConfig(
+        num_intermediate=2, num_ops=num_ops, evaluator={"type": "tabular", "seed": 1}
+    )
 
 
 @pytest.mark.parametrize("m,expected", [(8, 0.125), (1, 1.0), (4, 0.25)])
 def test_init_uniform(m, expected):
-    d = init_uniform(m)
-    assert np.allclose(d.probs, expected)
-    assert not d.seen.any()
-    assert d.epoch_counts.sum() == 0
-    assert np.all(d.acc_records == 0)
+    s = Searcher(_config(m))
+    assert np.allclose(s.probs, expected)
+    assert not (s.counts >= 1).any()
+    assert s.counts.sum() == 0
+    assert np.all(s.acc == 0)
 
 
 def test_init_uniform_rejects_zero():
     with pytest.raises(ValueError):
-        init_uniform(0)
+        _config(0)
 
 
 def test_sample_gate_degenerate():
-    d = init_uniform(8)
     probs = np.zeros(8)
     probs[0] = 1.0
-    d = d.__class__(probs, d.epoch_counts, d.acc_records, d.seen)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        g = sample_gate(d, rng)
-        assert g.sampled_op == 0
-        assert g.vector[0] == 1.0 and g.vector.sum() == 1.0
+        assert sample_gate(probs, rng) == 0
 
 
 def test_sample_gate_uniform_chi_square():
-    d = init_uniform(8)
+    probs, _, _ = _records(8)
     rng = np.random.default_rng(42)
     counts = np.zeros(8)
     n = 80_000
     for _ in range(n):
-        counts[sample_gate(d, rng).sampled_op] += 1
+        counts[sample_gate(probs, rng)] += 1
     stat = ((counts - n / 8) ** 2 / (n / 8)).sum()
     assert stat < stats.chi2.ppf(0.99, df=7)
 
@@ -62,150 +63,141 @@ def test_sample_gate_uniform_chi_square():
 def test_sample_gate_two_way_binomial_bound():
     probs = np.zeros(8)
     probs[0] = probs[1] = 0.5
-    d = init_uniform(8)
-    d = d.__class__(probs, d.epoch_counts, d.acc_records, d.seen)
     rng = np.random.default_rng(7)
     n = 10_000
-    ops = [sample_gate(d, rng).sampled_op for _ in range(n)]
+    ops = [sample_gate(probs, rng) for _ in range(n)]
     assert set(ops) <= {0, 1}
     sigma = np.sqrt(n * 0.25)
     assert abs(ops.count(0) - n / 2) < 3 * sigma
 
 
 def test_sample_gate_deterministic_replay():
-    d = init_uniform(8)
-    a = [sample_gate(d, np.random.default_rng(5)).sampled_op for _ in range(1)]
+    probs, _, _ = _records(8)
     rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-    seq1 = [sample_gate(d, rng1).sampled_op for _ in range(50)]
-    seq2 = [sample_gate(d, rng2).sampled_op for _ in range(50)]
+    seq1 = [sample_gate(probs, rng1) for _ in range(50)]
+    seq2 = [sample_gate(probs, rng2) for _ in range(50)]
     assert seq1 == seq2
 
 
 def test_record_feedback_single_update():
-    d = init_uniform(8)
-    d = record_feedback(d, _gate(d, 3), 0.42)
-    assert list(d.epoch_counts) == [0, 0, 0, 1, 0, 0, 0, 0]
-    assert d.acc_records[3] == 0.42
-    assert d.seen[3] and d.seen.sum() == 1
-    assert np.allclose(d.probs, 0.125)  # probs untouched
+    probs, counts, acc = _records(8)
+    record_feedback(counts, acc, 3, 0.42)
+    assert list(counts) == [0, 0, 0, 1, 0, 0, 0, 0]
+    assert acc[3] == 0.42
+    assert counts[3] >= 1 and (counts >= 1).sum() == 1
+    assert np.allclose(probs, 0.125)  # probs untouched
 
 
 def test_record_feedback_most_recent_overwrites():
-    d = init_uniform(8)
-    d = record_feedback(d, _gate(d, 3), 0.42)
-    d = record_feedback(d, _gate(d, 3), 0.55)
-    assert d.epoch_counts[3] == 2
-    assert d.acc_records[3] == 0.55
+    _, counts, acc = _records(8)
+    record_feedback(counts, acc, 3, 0.42)
+    record_feedback(counts, acc, 3, 0.55)
+    assert counts[3] == 2
+    assert acc[3] == 0.55
 
 
 def test_record_feedback_ten_epochs_same_op():
-    d = init_uniform(8)
+    _, counts, acc = _records(8)
     for _ in range(10):
-        d = record_feedback(d, _gate(d, 1), 0.5)
-    assert d.epoch_counts[1] == 10
-    assert d.epoch_counts.sum() == 10
+        record_feedback(counts, acc, 1, 0.5)
+    assert counts[1] == 10
+    assert counts.sum() == 10
 
 
 def test_record_feedback_mean_and_max_aggregation():
-    d = init_uniform(4)
-    d = record_feedback(d, _gate(d, 2), 0.4, "mean")
-    d = record_feedback(d, _gate(d, 2), 0.8, "mean")
-    assert d.acc_records[2] == pytest.approx(0.6)
-    d = init_uniform(4)
-    d = record_feedback(d, _gate(d, 2), 0.8, "max")
-    d = record_feedback(d, _gate(d, 2), 0.4, "max")
-    assert d.acc_records[2] == 0.8
+    _, counts, acc = _records(4)
+    record_feedback(counts, acc, 2, 0.4, "mean")
+    record_feedback(counts, acc, 2, 0.8, "mean")
+    assert acc[2] == pytest.approx(0.6)
+    _, counts, acc = _records(4)
+    record_feedback(counts, acc, 2, 0.8, "max")
+    record_feedback(counts, acc, 2, 0.4, "max")
+    assert acc[2] == 0.8
 
 
 def test_record_feedback_rejects_bad_accuracy():
-    d = init_uniform(4)
+    _, counts, acc = _records(4)
     with pytest.raises(ValueError):
-        record_feedback(d, _gate(d, 0), 1.5)
+        record_feedback(counts, acc, 0, 1.5)
     with pytest.raises(ValueError):
-        record_feedback(d, _gate(d, 0), -0.1)
+        record_feedback(counts, acc, 0, -0.1)
 
 
-def test_differentials_hand_example():
-    d = init_uniform(2)
-    d = record_feedback(d, _gate(d, 0), 0.9)
-    d = record_feedback(d, _gate(d, 1), 0.5)
-    d = record_feedback(d, _gate(d, 1), 0.5)
-    diff = differentials(d)
-    assert np.array_equal(diff.delta_epoch, [[0, -1], [1, 0]])
-    assert np.allclose(diff.delta_acc, [[0, 0.4], [-0.4, 0]])
+def test_net_credit_hand_example():
+    _, counts, acc = _records(2)
+    record_feedback(counts, acc, 0, 0.9)
+    record_feedback(counts, acc, 1, 0.5)
+    record_feedback(counts, acc, 1, 0.5)
+    # op 0: fewer epochs (1 < 2) and higher accuracy (0.9 > 0.5)
+    assert np.array_equal(net_credit(counts, acc), [1, -1])
 
 
 def test_differentials_equal_counts_zero_matrix():
-    d = init_uniform(4)
+    _, counts, acc = _records(4)
     for op in range(4):
-        d = record_feedback(d, _gate(d, op), 0.5)
-    diff = differentials(d)
-    assert np.all(diff.delta_epoch == 0)
-    assert np.all(diff.delta_acc == 0)
+        record_feedback(counts, acc, op, 0.5)
+    assert np.all(net_credit(counts, acc) == 0)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_differentials_antisymmetric_zero_diagonal(seed):
+    # The pairwise comparison behind the credit: for every pair of ops, what
+    # one gains from the other the other loses, and an op never beats itself.
     rng = np.random.default_rng(seed)
-    d = init_uniform(6)
+    _, counts, acc = _records(6)
     for _ in range(30):
-        d = record_feedback(d, _gate(d, int(rng.integers(6))), float(rng.random()))
-    diff = differentials(d)
-    assert np.array_equal(diff.delta_epoch, -diff.delta_epoch.T)
-    assert np.array_equal(diff.delta_acc, -diff.delta_acc.T)
-    assert np.all(np.diag(diff.delta_epoch) == 0)
-    assert np.all(np.diag(diff.delta_acc) == 0)
+        record_feedback(counts, acc, int(rng.integers(6)), float(rng.random()))
+    for i in range(6):
+        for j in range(6):
+            pair = net_credit(counts[[i, j]], acc[[i, j]])
+            assert pair[0] == -pair[1]
+            if i == j:
+                assert np.all(pair == 0)
 
 
 def _dist_with(epochs, accs, probs=None):
+    """(probs, counts, acc) rows; probs default to uniform."""
     epochs = np.asarray(epochs, dtype=np.int64)
     m = len(epochs)
-    from mdnas.distribution import EdgeDistribution
-
-    return EdgeDistribution(
-        probs=np.asarray(probs) if probs is not None else np.full(m, 1.0 / m),
-        epoch_counts=epochs,
-        acc_records=np.asarray(accs, dtype=float),
-        seen=epochs >= 1,
-    )
+    probs = np.asarray(probs) if probs is not None else np.full(m, 1.0 / m)
+    return probs, epochs, np.asarray(accs, dtype=float)
 
 
 def test_update_probs_worked_example():
-    d = _dist_with([1, 2, 3], [0.9, 0.5, 0.1])
-    diff = differentials(d)
-    deltas = raw_deltas(d, diff, 0.01)
+    probs, counts, acc = _dist_with([1, 2, 3], [0.9, 0.5, 0.1])
+    deltas = raw_deltas(counts, acc, 0.01)
     assert np.allclose(deltas, [0.02, 0.0, -0.02], atol=1e-15)
-    updated = update_probs(d, diff, 0.01)
+    updated = update_probs(probs, counts, acc, 0.01)
     expected = np.array([1 / 3 + 0.02, 1 / 3, 1 / 3 - 0.02])
-    assert np.allclose(updated.probs, expected, atol=1e-12)
+    assert np.allclose(updated, expected, atol=1e-12)
 
 
 def test_update_probs_identical_records_no_change():
-    d = _dist_with([2, 2, 2, 2], [0.5, 0.5, 0.5, 0.5])
-    updated = update_probs(d, differentials(d), 0.01)
-    assert np.allclose(updated.probs, d.probs)
+    probs, counts, acc = _dist_with([2, 2, 2, 2], [0.5, 0.5, 0.5, 0.5])
+    updated = update_probs(probs, counts, acc, 0.01)
+    assert np.allclose(updated, probs)
 
 
 def test_update_probs_rejects_nonpositive_alpha():
-    d = _dist_with([1, 2], [0.1, 0.9])
+    probs, counts, acc = _dist_with([1, 2], [0.1, 0.9])
     with pytest.raises(ValueError):
-        update_probs(d, differentials(d), 0.0)
+        update_probs(probs, counts, acc, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_raw_deltas_sum_to_zero_exactly(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 10))
-    d = _dist_with(rng.integers(0, 30, size=m), rng.random(m))
-    assert net_credit(d, differentials(d)).sum() == 0
-    deltas = raw_deltas(d, differentials(d), 0.01)
+    _, counts, acc = _dist_with(rng.integers(0, 30, size=m), rng.random(m))
+    assert net_credit(counts, acc).sum() == 0
+    deltas = raw_deltas(counts, acc, 0.01)
     assert abs(deltas.sum()) < 1e-15
 
 
 def test_monotone_credit_dominant_op():
     # op 0 strictly dominates all seen ops: raw delta is +alpha*(s-1)
-    d = _dist_with([1, 5, 7, 9, 0], [0.9, 0.3, 0.2, 0.1, 0.0])
-    deltas = raw_deltas(d, differentials(d), 0.01)
+    _, counts, acc = _dist_with([1, 5, 7, 9, 0], [0.9, 0.3, 0.2, 0.1, 0.0])
+    deltas = raw_deltas(counts, acc, 0.01)
     s = 4  # seen ops
     assert deltas[0] == pytest.approx(0.01 * (s - 1))
     # op 3 strictly dominated by every seen op
@@ -213,8 +205,8 @@ def test_monotone_credit_dominant_op():
 
 
 def test_unseen_ops_are_masked():
-    d = _dist_with([0, 2, 1], [0.0, 0.5, 0.9])
-    deltas = raw_deltas(d, differentials(d), 0.01)
+    _, counts, acc = _dist_with([0, 2, 1], [0.0, 0.5, 0.9])
+    deltas = raw_deltas(counts, acc, 0.01)
     assert deltas[0] == 0.0  # unseen op neither rewarded nor punished
 
 
@@ -222,22 +214,52 @@ def test_unseen_ops_are_masked():
 def test_simplex_preserved_under_update_sequences(seed):
     rng = np.random.default_rng(seed)
     m = 8
-    d = init_uniform(m)
+    probs, _, _ = _records(m)
     for _ in range(200):
-        d = _dist_with(
-            rng.integers(0, 50, size=m), rng.random(m), probs=d.probs
+        probs, counts, acc = _dist_with(
+            rng.integers(0, 50, size=m), rng.random(m), probs=probs
         )
-        d = update_probs(d, differentials(d), 0.01)
-        assert abs(d.probs.sum() - 1.0) <= 1e-9
-        assert d.probs.min() >= PROB_FLOOR
+        probs = update_probs(probs, counts, acc, 0.01)
+        assert abs(probs.sum() - 1.0) <= 1e-9
+        assert probs.min() >= PROB_FLOOR
 
 
 def test_snapshot_round_trip():
-    d = _dist_with([3, 0, 1], [0.2, 0.0, 0.7])
-    from mdnas.distribution import EdgeDistribution
+    s = Searcher(_config(3))
+    for _ in range(4):
+        s.step()
+    s2 = Searcher.from_checkpoint(s.checkpoint())
+    assert np.array_equal(s2.probs, s.probs)
+    assert np.array_equal(s2.counts, s.counts)
+    assert np.array_equal(s2.acc, s.acc)
 
-    d2 = EdgeDistribution.from_dict(d.to_dict())
-    assert np.array_equal(d2.probs, d.probs)
-    assert np.array_equal(d2.epoch_counts, d.epoch_counts)
-    assert np.array_equal(d2.acc_records, d.acc_records)
-    assert np.array_equal(d2.seen, d.seen)
+
+@st.composite
+def _batches(draw):
+    """Random (E, M) records, one sampled op per edge and an accuracy."""
+    e, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    weights = draw(hnp.arrays(float, (e, m), elements=st.floats(0.01, 1.0)))
+    counts = draw(hnp.arrays(np.int64, (e, m), elements=st.integers(0, 40)))
+    acc = draw(hnp.arrays(float, (e, m), elements=st.floats(0.0, 1.0)))
+    ops = draw(hnp.arrays(np.int64, e, elements=st.integers(0, m - 1)))
+    accuracy = draw(st.floats(0.0, 1.0))
+    return weights / weights.sum(axis=1, keepdims=True), counts, acc, ops, accuracy
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches(), st.sampled_from(AGGREGATIONS), st.floats(1e-4, 0.1))
+def test_batched_kernels_match_rows_bit_for_bit(batch, aggregation, alpha):
+    probs, counts, acc, ops, accuracy = batch
+    rows = list(zip(probs, counts, acc))
+
+    credit = np.stack([net_credit(c, a) for _, c, a in rows])
+    assert net_credit(counts, acc).tobytes() == credit.tobytes()
+    updated = np.stack([update_probs(p, c, a, alpha) for p, c, a in rows])
+    assert update_probs(probs, counts, acc, alpha).tobytes() == updated.tobytes()
+
+    row_counts, row_acc = counts.copy(), acc.copy()
+    for c, a, op in zip(row_counts, row_acc, ops):
+        record_feedback(c, a, op, accuracy, aggregation)
+    record_feedback(counts, acc, ops, accuracy, aggregation)
+    assert counts.tobytes() == row_counts.tobytes()
+    assert acc.tobytes() == row_acc.tobytes()

@@ -35,8 +35,29 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig.from_dict({"epochz": 10})
     with pytest.raises(ValueError):
-        SearchConfig(evaluator={"type": "tabular", "bogus": 1})  # checked at build
+        SearchConfig(evaluator={"type": "tabular", "bogus": 1})
         build_evaluator(SearchConfig(evaluator={"type": "tabular", "bogus": 1}))
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_config_rejects_k_outside_the_in_degree_of_b1(k):
+    with pytest.raises(ValueError):
+        small_config(k=k)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "surrogate", "tau_c": 0},
+        {"type": "surrogate", "tau_c": -5},
+        {"type": "tabular", "interaction_strength": -0.1},
+        {"type": "surrogate", "interaction_strength": -0.1},
+    ],
+)
+def test_build_evaluator_rejects_bad_values(spec):
+    config = small_config(evaluator=spec)
+    with pytest.raises(ValueError):
+        build_evaluator(config)
 
 
 def test_config_round_trip_and_digest():
@@ -51,8 +72,7 @@ def test_epoch_accounting():
     s = Searcher(small_config())
     for t in range(1, 11):
         s.step()
-        for d in s.dists:
-            assert d.epoch_counts.sum() == t
+        assert np.all(s.counts.sum(axis=1) == t)
 
 
 def test_single_evaluation_per_epoch():
@@ -75,8 +95,7 @@ def test_degenerate_single_op_space():
     s = Searcher(cfg)
     result = s.run()
     assert len(result.trace) == cfg.epochs
-    for d in s.dists:
-        assert np.allclose(d.probs, [1.0])
+    assert np.allclose(s.probs, 1.0)
     for node in result.genotype_norm.nodes:
         assert len(node) == 1
 
@@ -93,12 +112,11 @@ def test_max_single_epoch_prob_change():
     # a single update moves any op's probability by at most alpha*(M-1)
     cfg = small_config(num_intermediate=4, num_ops=8, epochs=30, alpha=0.01)
     s = Searcher(cfg)
-    prev = [d.probs.copy() for d in s.dists]
+    prev = s.probs.copy()
     for _ in range(cfg.epochs):
         s.step()
-        for p0, d in zip(prev, s.dists):
-            assert np.max(np.abs(d.probs - p0)) <= 0.01 * 7 + 1e-9
-        prev = [d.probs.copy() for d in s.dists]
+        assert np.max(np.abs(s.probs - prev)) <= 0.01 * 7 + 1e-9
+        prev = s.probs.copy()
 
 
 def test_entropy_decreases_on_consistent_oracle():
@@ -112,9 +130,9 @@ def test_entropy_decreases_on_consistent_oracle():
             evaluator={"type": "tabular", "seed": 7, "argmax_margin": 0.3},
         )
         s = Searcher(cfg)
-        e0 = np.mean([-(d.probs * np.log(d.probs)).sum() for d in s.dists])
+        e0 = np.mean(-(s.probs * np.log(s.probs)).sum(axis=1))
         s.run()
-        eT = np.mean([-(d.probs * np.log(d.probs)).sum() for d in s.dists])
+        eT = np.mean(-(s.probs * np.log(s.probs)).sum(axis=1))
         assert eT < e0
 
 
@@ -130,8 +148,7 @@ def test_checkpoint_resume_matches_uninterrupted():
     resumed = Searcher.from_checkpoint(snapshot)
     resumed_result = resumed.run()
     assert resumed_result == full_result
-    for d1, d2 in zip(full.dists, resumed.dists):
-        assert np.array_equal(d1.probs, d2.probs)
+    assert np.array_equal(full.probs, resumed.probs)
 
 
 def test_checkpoint_round_trip_idempotent():

@@ -104,5 +104,5 @@ def test_searcher_matches_eq6_transcription(num_intermediate, num_ops, seed):
         record = searcher.step()
         assert record.arch == arch, f"sampled architecture differs at epoch {epoch}"
     assert searcher.epoch == cfg.epochs
-    final = np.array([d.probs for d in searcher.dists])
+    final = searcher.probs
     np.testing.assert_allclose(final, np.array(probs), rtol=0, atol=1e-12)
