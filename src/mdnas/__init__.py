@@ -23,8 +23,8 @@ from .evaluator import (
     best_genotype,
     measure_consistency,
 )
-from .ranking import RankStats, TauTrace, kendall_tau, tau_trace, mean_tau
-from .engine import SearchConfig, SearchResult, Searcher, run_search
+from .ranking import RankStats, kendall_tau, tau_trace, mean_tau
+from .engine import SearchConfig, SearchResult, Searcher
 
 __all__ = [
     "OP_NAMES",
@@ -43,12 +43,10 @@ __all__ = [
     "best_genotype",
     "measure_consistency",
     "RankStats",
-    "TauTrace",
     "kendall_tau",
     "tau_trace",
     "mean_tau",
     "SearchConfig",
     "SearchResult",
     "Searcher",
-    "run_search",
 ]

@@ -32,8 +32,8 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A bad input, with context on where it came from; exits 2."""
 
 
 def _atomic_write(path: Path, content) -> None:
@@ -85,10 +85,7 @@ def _load_config(path: str, seed_override: int | None = None):
         seed_override = seeds[0]
     if seed_override is not None:
         doc["seed"] = seed_override
-    try:
-        return SearchConfig.from_dict(doc), seeds
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return SearchConfig.from_dict(doc), seeds
 
 
 def _run_one_search(config: SearchConfig, out_dir: Path) -> dict:
@@ -152,6 +149,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.cohort < 2:
+        raise ConfigError(f"--cohort must be >= 2 to rank anything, got {args.cohort}")
     config, seeds = _load_config(args.config, args.seed)
     if seeds is not None:
         raise ConfigError("simulate takes a single seed, not a 'seeds' list")
@@ -181,14 +180,11 @@ def cmd_analyze_tau(args) -> int:
         matrix = read_scores_csv(args.scores)
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad scores file: {exc}") from exc
-    try:
-        trace = tau_trace(matrix)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    taus = tau_trace(matrix)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out, lambda tmp: write_tau_csv(tmp, trace))
-    log.info("mean tau (excluding final epoch): %.4f", mean_tau(trace))
+    _atomic_write(out, lambda tmp: write_tau_csv(tmp, taus))
+    log.info("mean tau (excluding final epoch): %.4f", mean_tau(taus))
     return EXIT_OK
 
 
@@ -199,11 +195,7 @@ def cmd_derive(args) -> int:
         searcher = Searcher.from_checkpoint(snapshot)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad checkpoint: {exc}") from exc
-    try:
-        genotypes = searcher.genotypes(args.k)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    doc = {g.kind: json.loads(g.to_json()) for g in genotypes}
+    doc = {g.kind: json.loads(g.to_json()) for g in searcher.genotypes(args.k)}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(out, json.dumps(doc, indent=2))
@@ -254,20 +246,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"error: config parse error at line {exc.lineno}: {exc.msg}", file=sys.stderr)
-        return EXIT_CONFIG
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except RuntimeError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

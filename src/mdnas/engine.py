@@ -9,13 +9,22 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from .distribution import AGGREGATIONS, record_feedback, sample_gate, update_probs
 from .evaluator import SurrogateCurveEvaluator, TabularOracle
 from .search_space import CELL_KINDS, Genotype, build_cell_template, derive_genotype
+
+# What each SearchConfig annotation accepts; bool never counts as a number.
+_FIELD_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "dict": (dict,),
+}
 
 
 @dataclass
@@ -33,6 +42,12 @@ class SearchConfig:
     exclude_none: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value, accepted = getattr(self, f.name), _FIELD_TYPES[f.type]
+            if not isinstance(value, accepted) or (
+                isinstance(value, bool) and bool not in accepted
+            ):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.num_intermediate < 1 or self.num_ops < 1:
             raise ValueError("num_intermediate and num_ops must be >= 1")
         if self.epochs < 1:
@@ -45,7 +60,7 @@ class SearchConfig:
             raise ValueError("convergence_threshold must lie in (0, 1]")
         if self.acc_aggregation not in AGGREGATIONS:
             raise ValueError(f"acc_aggregation must be one of {AGGREGATIONS}")
-        if not isinstance(self.evaluator, dict) or "type" not in self.evaluator:
+        if "type" not in self.evaluator:
             raise ValueError("evaluator spec must be a dict with a 'type' key")
 
     @classmethod
@@ -65,34 +80,29 @@ class SearchConfig:
         ).hexdigest()
 
 
-_EVALUATOR_KEYS = {
-    "type",
-    "seed",
-    "q",
-    "argmax_margin",
-    "interaction_strength",
-    "tau_c",
-    "consistency",
-    "consistency_final",
-    "ramp_epochs",
-}
+_SURROGATE_KEYS = {"tau_c", "consistency", "consistency_final", "ramp_epochs"}
 
 
 def build_evaluator(config: SearchConfig):
     """Construct the evaluator named by config.evaluator over the joint
-    norm+reduction edge list (2 x |edges per cell|)."""
+    norm+reduction edge list (2 x |edges per cell|).  A key the chosen
+    evaluator would not read is an error."""
     spec = dict(config.evaluator)
-    unknown = set(spec) - _EVALUATOR_KEYS
-    if unknown:
-        raise ValueError(f"unknown evaluator keys: {sorted(unknown)}")
     kind = spec["type"]
+    if kind not in ("tabular", "surrogate"):
+        raise ValueError(f"unknown evaluator type: {kind!r}")
+    read = {"type", "seed", "interaction_strength", "q" if "q" in spec else "argmax_margin"}
+    if kind == "surrogate":
+        read |= _SURROGATE_KEYS
+    unknown = set(spec) - read
+    if unknown:
+        raise ValueError(f"evaluator keys a {kind} evaluator does not read: {sorted(unknown)}")
     seed = spec.get("seed", config.seed)
     num_edges = 2 * sum(i + 1 for i in range(1, config.num_intermediate + 1))
     if "q" in spec:
         oracle = TabularOracle(
             np.asarray(spec["q"], dtype=float),
             seed=seed,
-            num_intermediate=config.num_intermediate,
             interaction_strength=spec.get("interaction_strength", 0.0),
         )
         if oracle.num_edges != num_edges or oracle.num_ops != config.num_ops:
@@ -103,21 +113,18 @@ def build_evaluator(config: SearchConfig):
             config.num_ops,
             seed=seed,
             argmax_margin=spec.get("argmax_margin", 0.0),
-            num_intermediate=config.num_intermediate,
             interaction_strength=spec.get("interaction_strength", 0.0),
         )
     if kind == "tabular":
         return oracle
-    if kind == "surrogate":
-        return SurrogateCurveEvaluator(
-            oracle,
-            tau_c=spec.get("tau_c", 10.0),
-            consistency=spec.get("consistency", 1.0),
-            consistency_final=spec.get("consistency_final"),
-            ramp_epochs=spec.get("ramp_epochs"),
-            seed=seed,
-        )
-    raise ValueError(f"unknown evaluator type: {kind!r}")
+    return SurrogateCurveEvaluator(
+        oracle,
+        tau_c=spec.get("tau_c", 10.0),
+        consistency=spec.get("consistency", 1.0),
+        consistency_final=spec.get("consistency_final"),
+        ramp_epochs=spec.get("ramp_epochs"),
+        seed=seed,
+    )
 
 
 @dataclass(frozen=True)
@@ -240,9 +247,8 @@ class Searcher:
         }
 
     @classmethod
-    def from_checkpoint(cls, snapshot: dict, config: SearchConfig | None = None) -> "Searcher":
-        if config is None:
-            config = SearchConfig.from_dict(snapshot["config"])
+    def from_checkpoint(cls, snapshot: dict) -> "Searcher":
+        config = SearchConfig.from_dict(snapshot["config"])
         if config.digest() != snapshot["config_hash"]:
             raise ValueError("checkpoint config hash does not match")
         searcher = cls(config)
@@ -260,10 +266,6 @@ class Searcher:
             rng.bit_generator.state = state
         searcher.trace = [EpochRecord.from_dict(doc) for doc in snapshot["trace"]]
         return searcher
-
-
-def run_search(config: SearchConfig) -> SearchResult:
-    return Searcher(config).run()
 
 
 def write_trace_csv(path, trace, edges_per_cell: int, num_ops: int) -> None:

@@ -13,13 +13,12 @@ Two evaluators share one interface, ``evaluate(arch, epoch) -> accuracy``:
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .search_space import CellTemplate, Genotype, NUM_OPS, OP_NAMES, _top_k_genotype
+from .search_space import CellTemplate, Genotype, _top_k_genotype
 
 # An architecture sample is one op id per oracle edge.
 ArchitectureSample = tuple[int, ...]
@@ -34,13 +33,7 @@ class TabularOracle:
     """Ground-truth evaluator: true_score(arch) is the mean per-edge quality,
     optionally perturbed by pairwise edge-interaction terms."""
 
-    def __init__(
-        self,
-        q: np.ndarray,
-        seed: int = 0,
-        num_intermediate: int | None = None,
-        interaction_strength: float = 0.0,
-    ):
+    def __init__(self, q: np.ndarray, seed: int = 0, interaction_strength: float = 0.0):
         q = np.asarray(q, dtype=float)
         if q.ndim != 2:
             raise ValueError("q must be a (num_edges, num_ops) table")
@@ -49,8 +42,6 @@ class TabularOracle:
         if interaction_strength < 0:
             raise ValueError("interaction_strength must be >= 0")
         self.q = q
-        self.seed = seed
-        self.num_intermediate = num_intermediate
         self.interaction_strength = interaction_strength
         if interaction_strength > 0:
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7]))
@@ -116,35 +107,15 @@ class TabularOracle:
     def sample_arch(self, rng: np.random.Generator) -> ArchitectureSample:
         return tuple(int(v) for v in rng.integers(self.num_ops, size=self.num_edges))
 
-    def to_json(self) -> str:
-        ops = list(OP_NAMES) if self.num_ops == NUM_OPS else [str(i) for i in range(self.num_ops)]
-        return json.dumps(
-            {
-                "num_intermediate": self.num_intermediate,
-                "ops": ops,
-                "q": self.q.tolist(),
-            }
-        )
 
-    @classmethod
-    def from_json(cls, text: str, **kwargs) -> "TabularOracle":
-        doc = json.loads(text)
-        return cls(
-            np.asarray(doc["q"], dtype=float),
-            num_intermediate=doc.get("num_intermediate"),
-            **kwargs,
-        )
-
-
-def best_genotype(
-    oracle: TabularOracle, template: CellTemplate, k: int, edge_offset: int = 0
-) -> Genotype:
-    """Ground-truth genotype: per edge the argmax-quality op, per node the k
-    edges with the best such quality, with the same tie-breaks as
-    derive_genotype (lower edge index, lower op id)."""
-    block = oracle.q[edge_offset : edge_offset + template.num_edges]
+def best_genotype(oracle: TabularOracle, template: CellTemplate, k: int) -> Genotype:
+    """Ground-truth genotype from the oracle's first template.num_edges rows:
+    per edge the argmax-quality op, per node the k edges with the best such
+    quality, with the same tie-breaks as derive_genotype (lower edge index,
+    lower op id)."""
+    block = oracle.q[: template.num_edges]
     if len(block) != template.num_edges:
-        raise ValueError("oracle table too small for template at this offset")
+        raise ValueError("oracle table too small for template")
     return _top_k_genotype(template, block, k)
 
 

@@ -22,16 +22,9 @@ class RankStats:
     p_tau: float
 
 
-@dataclass(frozen=True)
-class TauTrace:
-    taus: tuple[float, ...]
-    cohort_size: int
-
-
 def kendall_tau(rank_a: Sequence[float], rank_b: Sequence[float]) -> RankStats:
-    """Pair-enumeration Kendall's tau.  Cohorts here are small, so the
-    quadratic enumeration (vectorized over the pair matrix) is the shipped
-    algorithm."""
+    """Pair-enumeration Kendall's tau, vectorized over the (m x m) matrix of
+    pair sign products."""
     a = np.asarray(rank_a, dtype=float)
     b = np.asarray(rank_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -39,12 +32,11 @@ def kendall_tau(rank_a: Sequence[float], rank_b: Sequence[float]) -> RankStats:
     m = len(a)
     if m < 2:
         raise ValueError("need at least 2 items to rank")
-    sa = np.sign(a[:, None] - a[None, :])
-    sb = np.sign(b[:, None] - b[None, :])
-    upper = np.triu_indices(m, k=1)
-    prod = sa[upper] * sb[upper]
-    concordant = int(np.sum(prod > 0))
-    discordant = int(np.sum(prod < 0))
+    prod = np.sign(a[:, None] - a[None, :])
+    prod *= np.sign(b[:, None] - b[None, :])
+    # The matrix is symmetric with a zero diagonal: each pair counts twice.
+    concordant = int(np.count_nonzero(prod > 0)) // 2
+    discordant = int(np.count_nonzero(prod < 0)) // 2
     total = concordant + discordant
     if total == 0:
         raise ValueError("all pairs are tied; tau is undefined")
@@ -52,18 +44,19 @@ def kendall_tau(rank_a: Sequence[float], rank_b: Sequence[float]) -> RankStats:
     return RankStats(concordant, discordant, tau, (tau + 1.0) / 2.0)
 
 
-def tau_trace(score_matrix: Sequence[Sequence[float]]) -> TauTrace:
+def tau_trace(score_matrix: Sequence[Sequence[float]]) -> tuple[float, ...]:
     """Kendall's tau of each epoch's scores against the final epoch's."""
     scores = np.asarray(score_matrix, dtype=float)
     if scores.ndim != 2 or scores.shape[0] < 2 or scores.shape[1] < 2:
         raise ValueError("score matrix must be (epochs >= 2) x (cohort >= 2)")
     final = scores[-1]
-    taus = tuple(kendall_tau(row, final).tau for row in scores)
-    return TauTrace(taus, scores.shape[1])
+    return tuple(kendall_tau(row, final).tau for row in scores)
 
 
-def mean_tau(trace: TauTrace, exclude_final: bool = True) -> float:
-    taus = trace.taus[:-1] if exclude_final else trace.taus
+def mean_tau(taus: Sequence[float]) -> float:
+    """Mean tau over every epoch but the final one, which is compared
+    against itself."""
+    taus = taus[:-1]
     if not taus:
         raise ValueError("trace has no entries to average")
     return float(np.mean(taus))
@@ -92,12 +85,12 @@ def read_scores_csv(path) -> np.ndarray:
     return matrix
 
 
-def write_tau_csv(path, trace: TauTrace) -> None:
+def write_tau_csv(path, taus: Sequence[float]) -> None:
     """Emit (epoch, tau, p_tau) rows followed by a mean_tau summary line."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "tau", "p_tau"])
-        for epoch, tau in enumerate(trace.taus):
+        for epoch, tau in enumerate(taus):
             writer.writerow([epoch, f"{tau:.6f}", f"{(tau + 1) / 2:.6f}"])
-        mt = mean_tau(trace)
+        mt = mean_tau(taus)
         writer.writerow(["mean", f"{mt:.6f}", f"{(mt + 1) / 2:.6f}"])

@@ -51,10 +51,6 @@ class NodeId:
     def intermediate(cls, index: int) -> "NodeId":
         return cls(1, index)
 
-    @classmethod
-    def output(cls) -> "NodeId":
-        return cls(2, 1)
-
     @property
     def kind(self) -> str:
         return ("input", "intermediate", "output")[self.rank]
@@ -108,9 +104,7 @@ def build_cell_template(num_intermediate: int, kind: str) -> CellTemplate:
         dst = NodeId.intermediate(i)
         srcs = [NodeId.input(1), NodeId.input(2)]
         srcs += [NodeId.intermediate(j) for j in range(1, i)]
-        for src in sorted(srcs):
-            edges.append(Edge(src, dst))
-    edges.sort(key=lambda e: (e.dst, e.src))
+        edges += [Edge(src, dst) for src in srcs]
     return CellTemplate(num_intermediate, kind, tuple(edges))
 
 
@@ -180,6 +174,9 @@ def _top_k_genotype(
     """Per intermediate node, the k incoming edges whose best allowed op
     scores highest, each with that op; ties as in derive_genotype.  Rows
     need not be probabilities (best_genotype passes quality rows)."""
+    in_degree = len(template.incoming(1))
+    if not 1 <= k <= in_degree:
+        raise ValueError(f"k={k} must lie in [1, {in_degree}], the in-degree of node B1")
     num_ops = len(scores[0])
     allowed = np.ones(num_ops, dtype=bool)
     if exclude_none and NONE_OP_ID < num_ops:
@@ -187,13 +184,8 @@ def _top_k_genotype(
 
     nodes = []
     for i in range(1, template.num_intermediate + 1):
-        incoming = template.incoming(i)
-        if k > len(incoming):
-            raise ValueError(
-                f"k={k} exceeds in-degree {len(incoming)} of node B{i}"
-            )
         scored = []
-        for edge_idx in incoming:
+        for edge_idx in template.incoming(i):
             row = np.where(allowed, scores[edge_idx], -np.inf)
             op_id = int(np.argmax(row))  # argmax takes the lowest id on ties
             scored.append((-row[op_id], edge_idx, op_id))

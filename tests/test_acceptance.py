@@ -236,9 +236,9 @@ def test_criterion_7_rank_consistency_reproduction(capsys):
         scores = np.array(
             [[ev.evaluate(a, t) for a in cohort] for t in range(1, epochs + 1)]
         )
-        trace = tau_trace(scores)
-        means.append(mean_tau(trace))
-        slope = np.polyfit(np.arange(len(trace.taus)), trace.taus, 1)[0]
+        taus = tau_trace(scores)
+        means.append(mean_tau(taus))
+        slope = np.polyfit(np.arange(len(taus)), taus, 1)[0]
         positive_slopes += int(slope > 0)
     grand_mean = float(np.mean(means))
     ok = abs(grand_mean - 0.474) <= 0.10 and positive_slopes == 20

@@ -2,9 +2,13 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mdnas
 from mdnas.cli import main
 
 OUTPUT_FILES = (
@@ -167,6 +171,17 @@ BAD_VALUES = {
         "seeds": [0, 1],
         "evaluator": {"type": "surrogate", "seed": 1, "tau_c": 0},
     },
+    "exclude_none-string": {"exclude_none": "false"},
+    "epochs-float": {"epochs": 2.5},
+    "num_intermediate-bool": {"num_intermediate": True},
+    "alpha-bool": {"alpha": True},
+    "aggregation-non-str": {"acc_aggregation": 1},
+    "tabular-surrogate-keys": {
+        "evaluator": {"type": "tabular", "tau_c": 5, "consistency": 0.7}
+    },
+    "inline-q-argmax_margin": {
+        "evaluator": {"type": "tabular", "q": [[0.5] * 4] * 10, "argmax_margin": 0.1}
+    },
 }
 
 
@@ -185,6 +200,18 @@ def test_simulate_rejects_nonpositive_tau_c(tmp_path):
     write_config(cfg, evaluator={"type": "surrogate", "seed": 1, "tau_c": 0})
     out = tmp_path / "scores" / "s.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("cohort", ["0", "-5", "1"])
+def test_simulate_rejects_cohort_below_two(tmp_path, capsys, cohort):
+    cfg = tmp_path / "config.json"
+    write_config(cfg, evaluator={"type": "surrogate", "seed": 1})
+    out = tmp_path / "scores" / "s.csv"
+    assert main(
+        ["simulate", "--config", str(cfg), "--out", str(out), "--cohort", cohort]
+    ) == 2
+    assert "--cohort" in capsys.readouterr().err
     assert not out.parent.exists()
 
 
@@ -317,9 +344,61 @@ def test_derive_rejects_excess_k(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_derive_rejects_k_below_one(tmp_path, k):
+    cfg = tmp_path / "config.json"
+    write_config(cfg)
+    out = tmp_path / "run"
+    main(["search", "--config", str(cfg), "--out", str(out)])
+    derived = tmp_path / "derived" / "g.json"
+    assert main(
+        [
+            "derive",
+            "--checkpoint",
+            str(out / "checkpoint.json"),
+            "--out",
+            str(derived),
+            "--k",
+            k,
+        ]
+    ) == 2
+    assert not derived.parent.exists()
+
+
 def test_derive_rejects_corrupt_checkpoint(tmp_path):
     bad = tmp_path / "checkpoint.json"
     bad.write_text('{"epoch": 3}')
     assert main(
         ["derive", "--checkpoint", str(bad), "--out", str(tmp_path / "g.json")]
     ) == 2
+
+
+def _run_cli(*argv):
+    """Run `python -m mdnas.cli` in a fresh process, with logging as a user
+    gets it rather than as pytest configures it."""
+    src = str(Path(mdnas.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "mdnas.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_each_exit_2_failure_prints_one_error_line(tmp_path):
+    bad = tmp_path / "bad.json"
+    write_config(bad, k=3)
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"epochs": }')
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("epoch,arch_id,accuracy\n1,a0,0.5\n1,a1,0.6\n2,a0,0.7\n")
+    out = str(tmp_path / "out")
+    cases = [
+        ["search", "--config", str(bad), "--out", out],
+        ["search", "--config", str(malformed), "--out", out],
+        ["search", "--config", str(tmp_path / "missing.json"), "--out", out],
+        ["analyze-tau", "--scores", str(ragged), "--out", out],
+    ]
+    for argv in cases:
+        proc = _run_cli(*argv)
+        assert proc.returncode == 2, argv
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, proc.stderr)

@@ -8,7 +8,6 @@ from mdnas.engine import (
     SearchConfig,
     Searcher,
     build_evaluator,
-    run_search,
     write_trace_csv,
 )
 
@@ -101,10 +100,10 @@ def test_degenerate_single_op_space():
 
 
 def test_determinism_same_seed():
-    r1 = run_search(small_config())
-    r2 = run_search(small_config())
+    r1 = Searcher(small_config()).run()
+    r2 = Searcher(small_config()).run()
     assert r1 == r2
-    r3 = run_search(small_config(seed=99))
+    r3 = Searcher(small_config(seed=99)).run()
     assert r3.trace != r1.trace
 
 
@@ -164,8 +163,9 @@ def test_checkpoint_rejects_config_mismatch():
     s = Searcher(small_config())
     s.step()
     snap = s.checkpoint()
+    snap["config"]["num_ops"] = 5
     with pytest.raises(ValueError):
-        Searcher.from_checkpoint(snap, config=small_config(num_ops=5))
+        Searcher.from_checkpoint(snap)
 
 
 def test_early_stop_on_convergence():
@@ -202,7 +202,7 @@ def test_surrogate_engine_runs():
     cfg = small_config(
         evaluator={"type": "surrogate", "consistency": 0.8, "seed": 3}
     )
-    result = run_search(cfg)
+    result = Searcher(cfg).run()
     assert len(result.trace) == cfg.epochs
     assert all(0.0 <= r.accuracy <= 1.0 for r in result.trace)
 
@@ -215,3 +215,13 @@ def test_build_evaluator_rejects_bad_specs():
     q = np.ones((3, 4))
     with pytest.raises(ValueError):
         build_evaluator(small_config(evaluator={"type": "tabular", "q": q.tolist()}))
+    # keys the chosen evaluator would not read
+    with pytest.raises(ValueError):
+        build_evaluator(
+            small_config(evaluator={"type": "tabular", "tau_c": 5, "consistency": 0.7})
+        )
+    q = np.full((10, 4), 0.5)
+    with pytest.raises(ValueError):
+        build_evaluator(
+            small_config(evaluator={"type": "tabular", "q": q.tolist(), "argmax_margin": 0.1})
+        )

@@ -41,13 +41,6 @@ def test_oracle_rejects_bad_epoch():
         oracle.evaluate((0, 0, 0, 0), 0)
 
 
-def test_oracle_json_round_trip():
-    oracle = TabularOracle.random(14, 8, seed=5, num_intermediate=4)
-    clone = TabularOracle.from_json(oracle.to_json())
-    assert np.allclose(clone.q, oracle.q)
-    assert clone.num_intermediate == 4
-
-
 def test_random_table_margin():
     oracle = TabularOracle.random(28, 8, seed=1, argmax_margin=0.05)
     for row in oracle.q:

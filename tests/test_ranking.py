@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mdnas.ranking import (
-    TauTrace,
     kendall_tau,
     mean_tau,
     read_scores_csv,
@@ -106,16 +105,14 @@ def test_tau_bounds_and_pair_budget():
 
 def test_tau_trace_constant_scores():
     scores = np.tile(np.array([0.1, 0.5, 0.9]), (5, 1))
-    trace = tau_trace(scores)
-    assert trace.taus == (1.0,) * 5
-    assert trace.cohort_size == 3
+    assert tau_trace(scores) == (1.0,) * 5
 
 
 def test_tau_trace_reversed_first_epoch():
     scores = np.array([[3, 2, 1], [1, 2, 3], [1, 2, 3]], dtype=float)
-    trace = tau_trace(scores)
-    assert trace.taus[0] == -1.0
-    assert trace.taus[-1] == 1.0
+    taus = tau_trace(scores)
+    assert taus[0] == -1.0
+    assert taus[-1] == 1.0
 
 
 def test_tau_trace_noiseless_surrogate_cohort():
@@ -126,13 +123,12 @@ def test_tau_trace_noiseless_surrogate_cohort():
     rng = np.random.default_rng(4)
     cohort = [ev.sample_arch(rng) for _ in range(8)]
     matrix = [[ev.evaluate(a, t) for a in cohort] for t in range(1, 20)]
-    assert tau_trace(matrix).taus == (1.0,) * 19
+    assert tau_trace(matrix) == (1.0,) * 19
 
 
 def test_mean_tau():
-    assert mean_tau(TauTrace((1.0, 1.0, 1.0), 4)) == 1.0
-    assert mean_tau(TauTrace((0.2, 0.6, 1.0), 4)) == pytest.approx(0.4)
-    assert mean_tau(TauTrace((0.2, 0.6, 1.0), 4), exclude_final=False) == pytest.approx(0.6)
+    assert mean_tau((1.0, 1.0, 1.0)) == 1.0
+    assert mean_tau((0.2, 0.6, 1.0)) == pytest.approx(0.4)
 
 
 def test_csv_round_trip(tmp_path):
@@ -147,12 +143,12 @@ def test_csv_round_trip(tmp_path):
                 w.writerow([epoch, arch, acc])
     matrix = read_scores_csv(scores)
     assert matrix.shape == (2, 3)
-    trace = tau_trace(matrix)
+    taus = tau_trace(matrix)
     out = tmp_path / "tau.csv"
-    write_tau_csv(out, trace)
+    write_tau_csv(out, taus)
     rows = list(csv.reader(open(out)))
     assert rows[0] == ["epoch", "tau", "p_tau"]
-    assert len(rows) == 2 + len(trace.taus)
+    assert len(rows) == 2 + len(taus)
     assert rows[-1][0] == "mean"
 
 

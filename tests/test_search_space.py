@@ -177,6 +177,14 @@ def test_derive_genotype_rejects_excess_k():
         derive_genotype(tpl, dists, 4)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_derive_genotype_rejects_k_below_one(k):
+    tpl = build_cell_template(2, "norm")
+    dists = [np.full(8, 0.125) for _ in range(tpl.num_edges)]
+    with pytest.raises(ValueError):
+        derive_genotype(tpl, dists, k)
+
+
 def test_derive_genotype_rejects_malformed_probs():
     tpl = build_cell_template(2, "norm")
     dists = [np.full(8, 0.5) for _ in range(tpl.num_edges)]
