@@ -159,6 +159,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate requires a surrogate evaluator")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xC0,)))
     cohort = [evaluator.sample_arch(rng) for _ in range(args.cohort)]
+    scores = evaluator.evaluate_many(cohort, range(1, config.epochs + 1))
+    arch_ids = [f"a{arch_id:04d}" for arch_id in range(len(cohort))]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
@@ -166,10 +168,10 @@ def cmd_simulate(args) -> int:
         with open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "arch_id", "accuracy"])
-            for epoch in range(1, config.epochs + 1):
-                for arch_id, arch in enumerate(cohort):
-                    acc = evaluator.evaluate(arch, epoch)
-                    writer.writerow([epoch, f"a{arch_id:04d}", f"{acc:.10f}"])
+            for epoch, row in enumerate(scores.tolist(), start=1):
+                writer.writerows(
+                    [epoch, arch_id, f"{acc:.10f}"] for arch_id, acc in zip(arch_ids, row)
+                )
 
     _atomic_write(out, write)
     return EXIT_OK
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(
-        level=getattr(logging, os.environ.get("MDENAS_LOG", "warn").upper(), logging.WARNING),
+        level=getattr(logging, os.environ.get("MDNAS_LOG", "warn").upper(), logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()

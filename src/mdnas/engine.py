@@ -24,7 +24,14 @@ _FIELD_TYPES = {
     "bool": (bool,),
     "str": (str,),
     "dict": (dict,),
+    "list": (list,),
 }
+
+
+def _check_type(name: str, value, type_name: str) -> None:
+    accepted = _FIELD_TYPES[type_name]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+        raise ValueError(f"{name} must be of type {type_name}, got {value!r}")
 
 
 @dataclass
@@ -43,11 +50,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value, accepted = getattr(self, f.name), _FIELD_TYPES[f.type]
-            if not isinstance(value, accepted) or (
-                isinstance(value, bool) and bool not in accepted
-            ):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            _check_type(f.name, getattr(self, f.name), f.type)
         if self.num_intermediate < 1 or self.num_ops < 1:
             raise ValueError("num_intermediate and num_ops must be >= 1")
         if self.epochs < 1:
@@ -80,6 +83,19 @@ class SearchConfig:
         ).hexdigest()
 
 
+# The type of each evaluator spec key, in _FIELD_TYPES terms.  An explicit
+# null for the two ramp keys means "no ramp", as leaving them out does.
+_SPEC_TYPES = {
+    "type": "str",
+    "seed": "int",
+    "interaction_strength": "float",
+    "q": "list",
+    "argmax_margin": "float",
+    "tau_c": "float",
+    "consistency": "float",
+    "consistency_final": "float",
+    "ramp_epochs": "int",
+}
 _SURROGATE_KEYS = {"tau_c", "consistency", "consistency_final", "ramp_epochs"}
 
 
@@ -97,6 +113,9 @@ def build_evaluator(config: SearchConfig):
     unknown = set(spec) - read
     if unknown:
         raise ValueError(f"evaluator keys a {kind} evaluator does not read: {sorted(unknown)}")
+    for key, value in spec.items():
+        if not (value is None and key in ("consistency_final", "ramp_epochs")):
+            _check_type(f"evaluator.{key}", value, _SPEC_TYPES[key])
     seed = spec.get("seed", config.seed)
     num_edges = 2 * sum(i + 1 for i in range(1, config.num_intermediate + 1))
     if "q" in spec:

@@ -17,6 +17,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .search_space import CellTemplate, Genotype, _top_k_genotype
 
@@ -47,6 +48,7 @@ class TabularOracle:
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7]))
             e, m = q.shape
             self._w = rng.uniform(-1.0, 1.0, size=(e, e, m, m))
+            self._pairs = np.triu_indices(e, k=1)
         else:
             self._w = None
 
@@ -91,12 +93,10 @@ class TabularOracle:
         arch = self._check(arch)
         score = float(self.q[np.arange(self.num_edges), arch].mean())
         if self._w is not None:
-            e = self.num_edges
-            idx = np.arange(e)
-            inter = self._w[idx[:, None], idx[None, :], arch[:, None], arch[None, :]]
-            score += self.interaction_strength * float(
-                inter[np.triu_indices(e, k=1)].mean()
-            )
+            # Edge pairs i < j in row-major order, gathered directly.
+            i, j = self._pairs
+            inter = self._w[i, j, arch[i], arch[j]]
+            score += self.interaction_strength * float(inter.mean())
         return float(np.clip(score, 0.0, 1.0))
 
     def evaluate(self, arch: Sequence[int], epoch: int) -> float:
@@ -117,10 +117,6 @@ def best_genotype(oracle: TabularOracle, template: CellTemplate, k: int) -> Geno
     if len(block) != template.num_edges:
         raise ValueError("oracle table too small for template")
     return _top_k_genotype(template, block, k)
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 class SurrogateCurveEvaluator:
@@ -153,6 +149,8 @@ class SurrogateCurveEvaluator:
             raise ValueError("consistency_final and ramp_epochs go together")
         if consistency_final is not None and not 0.5 <= consistency_final <= 1.0:
             raise ValueError("consistency_final must lie in [0.5, 1]")
+        if ramp_epochs is not None and ramp_epochs < 1:
+            raise ValueError(f"ramp_epochs must be >= 1, got {ramp_epochs}")
         self.oracle = oracle
         self.tau_c = tau_c
         self.consistency = consistency
@@ -184,8 +182,19 @@ class SurrogateCurveEvaluator:
     def sample_arch(self, rng: np.random.Generator) -> ArchitectureSample:
         return self.oracle.sample_arch(rng)
 
+    def _agreement(self, sigma: float) -> float:
+        """mean_pairs Phi(gap / (sigma*sqrt(2))), with Phi(x) computed as
+        0.5 * (1 + erf(x / sqrt(2))) through math.erf."""
+        z = self._gaps / (sigma * math.sqrt(2.0)) / math.sqrt(2.0)
+        erf = np.fromiter(map(math.erf, z.tolist()), dtype=float, count=len(z))
+        return float(np.mean(0.5 * (1.0 + erf)))
+
     def _sigma_for(self, rho: float) -> float:
-        """Solve mean_pairs Phi(gap / (sigma*sqrt(2))) = rho by bisection."""
+        """Solve agreement(sigma) = rho by geometric bisection.
+
+        The search stops at the first step that leaves (lo, hi) unchanged:
+        every later step would repeat it, so the result equals that of the
+        full 200 steps."""
         rho = min(max(rho, 0.5), 1.0)
         key = round(rho, 9)
         if key in self._sigma_cache:
@@ -193,17 +202,13 @@ class SurrogateCurveEvaluator:
         if rho >= 1.0 - 1e-12 or len(self._gaps) == 0:
             sigma = 0.0
         else:
-            def agreement(sigma: float) -> float:
-                z = self._gaps / (sigma * math.sqrt(2.0))
-                return float(np.mean([_norm_cdf(v) for v in z]))
-
             lo, hi = 1e-9, 1e3
             for _ in range(200):
                 mid = math.sqrt(lo * hi)
-                if agreement(mid) > rho:
-                    lo = mid
-                else:
-                    hi = mid
+                step = (mid, hi) if self._agreement(mid) > rho else (lo, mid)
+                if step == (lo, hi):
+                    break
+                lo, hi = step
             sigma = math.sqrt(lo * hi)
         self._sigma_cache[key] = sigma
         return sigma
@@ -214,18 +219,36 @@ class SurrogateCurveEvaluator:
         frac = min((epoch - 1) / max(self.ramp_epochs - 1, 1), 1.0)
         return self.consistency + frac * (self.consistency_final - self.consistency)
 
-    def evaluate(self, arch: Sequence[int], epoch: int) -> float:
-        if epoch < 1:
+    def evaluate_many(
+        self, archs: Sequence[Sequence[int]], epochs: Sequence[int]
+    ) -> np.ndarray:
+        """Accuracy of every arch at every epoch, shape (len(epochs),
+        len(archs)).  Each entry equals evaluate(arch, epoch): the true
+        score and the key of each arch are computed once, the noise is the
+        same per-(arch, epoch) draw."""
+        epochs = list(epochs)
+        if any(epoch < 1 for epoch in epochs):
             raise ValueError("epoch must be >= 1")
-        s = self.oracle.true_score(arch)
-        growth = 1.0 - math.exp(-epoch / self.tau_c)
-        sigma = self._sigma_for(self.consistency_at(epoch))
-        if sigma > 0:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, _arch_key(arch), epoch])
-            )
-            s = s + sigma * rng.standard_normal()
-        return float(np.clip(s * growth, 0.0, 1.0))
+        scores = np.array([self.oracle.true_score(arch) for arch in archs])
+        keys = [_arch_key(arch) for arch in archs]
+        out = np.empty((len(epochs), len(archs)))
+        for row, epoch in zip(out, epochs):
+            growth = 1.0 - math.exp(-epoch / self.tau_c)
+            sigma = self._sigma_for(self.consistency_at(epoch))
+            noisy = scores
+            if sigma > 0:
+                # default_rng(seed_sequence) builds this same Generator, at
+                # a higher per-call cost.
+                noise = np.array([
+                    Generator(PCG64(SeedSequence([self.seed, key, epoch]))).standard_normal()
+                    for key in keys
+                ])
+                noisy = scores + sigma * noise
+            row[:] = noisy * growth
+        return np.clip(out, 0.0, 1.0)
+
+    def evaluate(self, arch: Sequence[int], epoch: int) -> float:
+        return float(self.evaluate_many([arch], [epoch])[0, 0])
 
 
 def measure_consistency(

@@ -22,6 +22,13 @@ class RankStats:
     p_tau: float
 
 
+def _pair_signs(x: np.ndarray) -> np.ndarray:
+    """The (m x m) int8 matrix sign(x_i - x_j) as [x_i > x_j] - [x_j > x_i];
+    a NaN compares neither way, so its pairs count as tied."""
+    greater = (x[:, None] > x[None, :]).view(np.int8)
+    return greater - greater.T
+
+
 def kendall_tau(rank_a: Sequence[float], rank_b: Sequence[float]) -> RankStats:
     """Pair-enumeration Kendall's tau, vectorized over the (m x m) matrix of
     pair sign products."""
@@ -29,11 +36,9 @@ def kendall_tau(rank_a: Sequence[float], rank_b: Sequence[float]) -> RankStats:
     b = np.asarray(rank_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be equal-length 1-d sequences")
-    m = len(a)
-    if m < 2:
+    if len(a) < 2:
         raise ValueError("need at least 2 items to rank")
-    prod = np.sign(a[:, None] - a[None, :])
-    prod *= np.sign(b[:, None] - b[None, :])
+    prod = _pair_signs(a) * _pair_signs(b)
     # The matrix is symmetric with a zero diagonal: each pair counts twice.
     concordant = int(np.count_nonzero(prod > 0)) // 2
     discordant = int(np.count_nonzero(prod < 0)) // 2

@@ -182,6 +182,33 @@ BAD_VALUES = {
     "inline-q-argmax_margin": {
         "evaluator": {"type": "tabular", "q": [[0.5] * 4] * 10, "argmax_margin": 0.1}
     },
+    # evaluator spec values: "spec-<key>-<case>", the error names <key>
+    "spec-interaction_strength-bool": {
+        "evaluator": {"type": "tabular", "seed": 1, "interaction_strength": True}
+    },
+    "spec-argmax_margin-bool": {
+        "evaluator": {"type": "tabular", "seed": 1, "argmax_margin": True}
+    },
+    "spec-seed-bool": {"evaluator": {"type": "tabular", "seed": True}},
+    "spec-consistency-bool": {
+        "evaluator": {"type": "surrogate", "seed": 1, "consistency": True}
+    },
+    "spec-ramp_epochs-float": {
+        "evaluator": {
+            "type": "surrogate", "seed": 1, "consistency_final": 0.9, "ramp_epochs": 2.5
+        }
+    },
+    "spec-ramp_epochs-0": {
+        "evaluator": {
+            "type": "surrogate", "seed": 1, "consistency_final": 0.9, "ramp_epochs": 0
+        }
+    },
+    "spec-ramp_epochs-negative": {
+        "evaluator": {
+            "type": "surrogate", "seed": 1, "consistency_final": 0.9, "ramp_epochs": -3
+        }
+    },
+    "spec-tau_c-string": {"evaluator": {"type": "surrogate", "seed": 1, "tau_c": "5"}},
 }
 
 
@@ -193,6 +220,16 @@ def test_search_rejects_bad_values_before_any_output(tmp_path, capsys, overrides
     assert main(["search", "--config", str(cfg), "--out", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [c for c in BAD_VALUES if c.startswith("spec-")])
+def test_bad_evaluator_value_error_names_the_key(tmp_path, capsys, case):
+    key = case.split("-")[1]
+    cfg = tmp_path / "config.json"
+    write_config(cfg, **BAD_VALUES[case])
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0], lines
 
 
 def test_simulate_rejects_nonpositive_tau_c(tmp_path):
@@ -373,11 +410,11 @@ def test_derive_rejects_corrupt_checkpoint(tmp_path):
     ) == 2
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, **env_vars):
     """Run `python -m mdnas.cli` in a fresh process, with logging as a user
     gets it rather than as pytest configures it."""
     src = str(Path(mdnas.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "mdnas.cli", *argv], capture_output=True, text=True, env=env
     )
@@ -402,3 +439,14 @@ def test_each_exit_2_failure_prints_one_error_line(tmp_path):
         assert proc.returncode == 2, argv
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, proc.stderr)
+
+
+def test_mdnas_log_info_prints_mean_tau(tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("epoch,arch_id,accuracy\n1,a0,0.5\n1,a1,0.6\n2,a0,0.4\n2,a1,0.7\n")
+    out = tmp_path / "tau.csv"
+    quiet = _run_cli("analyze-tau", "--scores", str(scores), "--out", str(out), MDNAS_LOG="warn")
+    assert quiet.returncode == 0 and quiet.stderr == ""
+    proc = _run_cli("analyze-tau", "--scores", str(scores), "--out", str(out), MDNAS_LOG="info")
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == ["INFO mdnas: mean tau (excluding final epoch): 1.0000"]

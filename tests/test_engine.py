@@ -225,3 +225,33 @@ def test_build_evaluator_rejects_bad_specs():
         build_evaluator(
             small_config(evaluator={"type": "tabular", "q": q.tolist(), "argmax_margin": 0.1})
         )
+    # evaluator spec values of the wrong type, or ramp_epochs below 1
+    ramp = {"type": "surrogate", "consistency_final": 0.9}
+    for spec in (
+        {"type": "tabular", "interaction_strength": True},
+        {"type": "tabular", "argmax_margin": True},
+        {"type": "tabular", "seed": True},
+        {"type": "surrogate", "consistency": True},
+        {**ramp, "ramp_epochs": 2.5},
+        {**ramp, "ramp_epochs": 0},
+        {**ramp, "ramp_epochs": -3},
+        {"type": "surrogate", "tau_c": "5"},
+    ):
+        with pytest.raises(ValueError):
+            build_evaluator(small_config(evaluator=spec))
+
+
+def test_build_evaluator_null_ramp_pair_means_no_ramp():
+    spec = {"type": "surrogate", "consistency": 0.8}
+    plain = build_evaluator(small_config(evaluator=spec))
+    nulls = build_evaluator(
+        small_config(evaluator={**spec, "consistency_final": None, "ramp_epochs": None})
+    )
+    assert nulls.consistency_final is None and nulls.ramp_epochs is None
+    arch = (0,) * plain.oracle.num_edges
+    assert nulls.evaluate(arch, 3) == plain.evaluate(arch, 3)
+    # one null key without the other is still an error
+    for half in ({"consistency_final": None, "ramp_epochs": 5},
+                 {"consistency_final": 0.9, "ramp_epochs": None}):
+        with pytest.raises(ValueError):
+            build_evaluator(small_config(evaluator={**spec, **half}))

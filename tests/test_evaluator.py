@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdnas.evaluator import (
     SurrogateCurveEvaluator,
@@ -203,3 +205,107 @@ def test_best_genotype_matches_exhaustive_enumeration(seed):
     oracle = TabularOracle(rng.uniform(size=(tpl.num_edges, 4)))
     g = best_genotype(oracle, tpl, 2)
     assert g.nodes == _enumerate_best(oracle, tpl, 2)
+
+
+# -- exactness of the fast paths against plain transcriptions ---------------
+
+
+def _reference_sigma(gaps, rho):
+    """The 200-step geometric bisection, one scalar erf per gap and step."""
+    rho = min(max(rho, 0.5), 1.0)
+    if rho >= 1.0 - 1e-12 or len(gaps) == 0:
+        return 0.0
+
+    def agreement(sigma):
+        z = gaps / (sigma * math.sqrt(2.0))
+        return float(np.mean([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z]))
+
+    lo, hi = 1e-9, 1e3
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if agreement(mid) > rho:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+@pytest.mark.parametrize("num_edges", [4, 12, 56])
+def test_sigma_solve_matches_full_bisection(num_edges):
+    oracle = TabularOracle.random(num_edges, 8, seed=num_edges)
+    ev = SurrogateCurveEvaluator(oracle, seed=num_edges, calibration_pairs=128)
+    rhos = [0.5, 0.8, 0.974, 1 - 1e-12, 0.999999]
+    rhos += np.random.default_rng(num_edges).uniform(0.5, 1.0, 4).tolist()
+    for rho in rhos:
+        assert ev._sigma_for(rho).hex() == _reference_sigma(ev._gaps, rho).hex(), rho
+
+
+def test_sigma_solve_all_ties_has_no_gaps():
+    ev = SurrogateCurveEvaluator(TabularOracle(np.full((6, 4), 0.5)), consistency=0.7)
+    assert len(ev._gaps) == 0
+    assert ev._sigma_for(0.7) == _reference_sigma(ev._gaps, 0.7) == 0.0
+
+
+def _reference_evaluate(ev, arch, epoch):
+    """One (arch, epoch) score: true score plus seeded noise, then the curve."""
+    s = ev.oracle.true_score(arch)
+    growth = 1.0 - math.exp(-epoch / ev.tau_c)
+    sigma = ev._sigma_for(ev.consistency_at(epoch))
+    if sigma > 0:
+        key = int.from_bytes(
+            hashlib.blake2b(np.asarray(arch, dtype=np.int64).tobytes(), digest_size=8).digest(),
+            "big",
+        )
+        rng = np.random.default_rng(np.random.SeedSequence([ev.seed, key, epoch]))
+        s = s + sigma * rng.standard_normal()
+    return float(np.clip(s * growth, 0.0, 1.0))
+
+
+EVALUATOR_KINDS = {
+    "ramped": dict(consistency=0.5, consistency_final=0.974, ramp_epochs=6),
+    "flat": dict(consistency=0.7),
+    "noiseless": dict(consistency=1.0),
+    "interaction": dict(consistency=0.8, interaction_strength=0.2),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(EVALUATOR_KINDS)),
+    seed=st.integers(0, 2**16),
+    cohort=st.integers(1, 6),
+    epochs=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+)
+def test_evaluate_many_equals_stacked_evaluate(kind, seed, cohort, epochs):
+    kwargs = dict(EVALUATOR_KINDS[kind])
+    oracle = TabularOracle.random(
+        10, 4, seed=seed, interaction_strength=kwargs.pop("interaction_strength", 0.0)
+    )
+    ev = SurrogateCurveEvaluator(oracle, tau_c=4.0, seed=seed, calibration_pairs=64, **kwargs)
+    rng = np.random.default_rng(seed)
+    archs = [ev.sample_arch(rng) for _ in range(cohort)]
+    batch = ev.evaluate_many(archs, epochs)
+    assert batch.shape == (len(epochs), cohort)
+    stacked = np.array([[ev.evaluate(a, t) for a in archs] for t in epochs])
+    reference = np.array([[_reference_evaluate(ev, a, t) for a in archs] for t in epochs])
+    assert batch.tobytes() == stacked.tobytes() == reference.tobytes()
+
+
+def test_evaluate_many_rejects_bad_epoch_before_scoring():
+    ev = SurrogateCurveEvaluator(TabularOracle.random(4, 4), consistency=0.7)
+    with pytest.raises(ValueError, match="epoch"):
+        ev.evaluate_many([(0,) * 3], [1, 0])  # the arch is malformed too
+
+
+@pytest.mark.parametrize("num_edges", [3, 10, 28])
+def test_interaction_true_score_matches_full_matrix_formula(num_edges):
+    oracle = TabularOracle.random(num_edges, 8, seed=num_edges, interaction_strength=0.3)
+    rng = np.random.default_rng(num_edges)
+    for _ in range(64):
+        arch = np.asarray(oracle.sample_arch(rng))
+        idx = np.arange(num_edges)
+        score = float(oracle.q[idx, arch].mean())
+        inter = oracle._w[idx[:, None], idx[None, :], arch[:, None], arch[None, :]]
+        score += 0.3 * float(inter[np.triu_indices(num_edges, k=1)].mean())
+        expected = float(np.clip(score, 0.0, 1.0))
+        assert oracle.true_score(tuple(arch)).hex() == expected.hex()

@@ -157,3 +157,21 @@ def test_ragged_csv_rejected(tmp_path):
     scores.write_text("epoch,arch_id,accuracy\n1,a,0.5\n1,b,0.6\n2,a,0.7\n")
     with pytest.raises(ValueError):
         read_scores_csv(scores)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tau_trace_equals_per_row_kendall_tau_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    epochs, m = int(rng.integers(2, 8)), int(rng.integers(2, 40))
+    # few distinct levels, so rows and the final row are full of ties
+    scores = rng.integers(0, 4, size=(epochs, m)).astype(float)
+    scores[-1, :2] = [0.0, 1.0]  # the final row is never all tied
+    taus = tau_trace(scores)
+    assert taus == tuple(kendall_tau(row, scores[-1]).tau for row in scores)
+    assert taus == tuple(naive_kendall(row, scores[-1])[2] for row in scores)
+
+
+def test_tau_trace_all_tied_final_row_raises():
+    scores = np.array([[0.1, 0.5, 0.9], [0.3, 0.3, 0.3]])
+    with pytest.raises(ValueError, match="tied"):
+        tau_trace(scores)
