@@ -132,6 +132,8 @@ def _seed_job(args):
 
 
 def cmd_search(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config, seeds = _load_config(args.config, args.seed)
     if seeds is None:
         _run_one_search(config, Path(args.out))
@@ -180,7 +182,7 @@ def cmd_simulate(args) -> int:
 def cmd_analyze_tau(args) -> int:
     try:
         matrix = read_scores_csv(args.scores)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         raise ConfigError(f"bad scores file: {exc}") from exc
     taus = tau_trace(matrix)
     out = Path(args.out)

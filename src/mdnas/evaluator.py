@@ -24,10 +24,102 @@ from .search_space import CellTemplate, Genotype, _top_k_genotype
 # An architecture sample is one op id per oracle edge.
 ArchitectureSample = tuple[int, ...]
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, pool size 4) and
+# the PCG64 seeding step (pcg64.h), for seeding a whole cohort at once.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# Below this many entries numpy's own per-entry construction is cheaper than
+# the array hash's fixed cost.
+_BATCH_SEEDING_MIN = 16
+
 
 def _arch_key(arch: Sequence[int]) -> int:
     h = hashlib.blake2b(np.asarray(arch, dtype=np.int64).tobytes(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
+
+
+def _uint32_words(n: int) -> list[int]:
+    """An entropy int as SeedSequence splits it: little-endian 32-bit words,
+    with 0 as the one word [0]."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(4, np.uint64) for many entropies
+    at once.  entropy[i] holds word i of every entropy (uint32, broadcast
+    against the others); returns the four uint64 words, one array each."""
+    u32 = np.uint32
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ u32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * u32(const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ u32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * u32(const)
+        state.append((value ^ (value >> u32(16))).astype(np.uint64))
+    return [state[2 * j] | (state[2 * j + 1] << np.uint64(32)) for j in range(4)]
+
+
+def _seeded_normals(seed: int, keys: Sequence[int], epoch: int) -> np.ndarray:
+    """For every key, Generator(PCG64(SeedSequence([seed, key, epoch])))
+    .standard_normal(), bit for bit.  From _BATCH_SEEDING_MIN keys on, the
+    SeedSequence hash runs over arrays and one reused PCG64 is set to each
+    seeded state."""
+    if len(keys) < _BATCH_SEEDING_MIN:
+        return np.array([
+            Generator(PCG64(SeedSequence([seed, key, epoch]))).standard_normal()
+            for key in keys
+        ])
+    keys = np.array(keys, dtype=np.uint64)
+    low = (keys & np.uint64(_MASK32)).astype(np.uint32)
+    high = (keys >> np.uint64(32)).astype(np.uint32)
+    head = [np.array([w], dtype=np.uint32) for w in _uint32_words(seed)]
+    tail = [np.array([w], dtype=np.uint32) for w in _uint32_words(epoch)]
+    bit_generator = PCG64()
+    generator = Generator(bit_generator)
+    seeded = {"state": 0, "inc": 0}
+    doc = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    out = np.empty(len(keys))
+    # A key below 2**32 is one entropy word, a larger one two.
+    narrow = high == 0
+    for rows, key_words in ((np.flatnonzero(narrow), [low]), (np.flatnonzero(~narrow), [low, high])):
+        if not len(rows):
+            continue
+        words = _seed_sequence_state(head + [w[rows] for w in key_words] + tail)
+        for row, s0, s1, q0, q1 in zip(rows.tolist(), *(w.tolist() for w in words)):
+            # pcg64_set_seed: inc = seq << 1 | 1, then two LCG steps from 0
+            # with the initial state added in between.
+            inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+            seeded["inc"] = inc
+            seeded["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = doc
+            out[row] = generator.standard_normal()
+    return out
 
 
 class TabularOracle:
@@ -237,13 +329,7 @@ class SurrogateCurveEvaluator:
             sigma = self._sigma_for(self.consistency_at(epoch))
             noisy = scores
             if sigma > 0:
-                # default_rng(seed_sequence) builds this same Generator, at
-                # a higher per-call cost.
-                noise = np.array([
-                    Generator(PCG64(SeedSequence([self.seed, key, epoch]))).standard_normal()
-                    for key in keys
-                ])
-                noisy = scores + sigma * noise
+                noisy = scores + sigma * _seeded_normals(self.seed, keys, epoch)
             row[:] = noisy * growth
         return np.clip(out, 0.0, 1.0)
 

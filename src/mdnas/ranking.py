@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
+
+# Rows parsed per block; bounds the strings held at once.
+_BLOCK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -22,26 +27,66 @@ class RankStats:
     p_tau: float
 
 
-def _pair_signs(x: np.ndarray) -> np.ndarray:
-    """The (m x m) int8 matrix sign(x_i - x_j) as [x_i > x_j] - [x_j > x_i];
-    a NaN compares neither way, so its pairs count as tied."""
-    greater = (x[:, None] > x[None, :]).view(np.int8)
-    return greater - greater.T
+def _tied_pairs(sorted_values: np.ndarray, *more: np.ndarray) -> int:
+    """Pairs of equal items in sorted order: items tie when every given
+    array holds equal values at both.  Compares neighbours with ==, never
+    a difference, since inf - inf is NaN."""
+    same = sorted_values[1:] == sorted_values[:-1]
+    for values in more:
+        same &= values[1:] == values[:-1]
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], ~same, [True]))))
+    return _pairs_within(runs)
+
+
+def _pairs_within(group_sizes: np.ndarray) -> int:
+    return int((group_sizes * (group_sizes - 1) // 2).sum())
+
+
+def _strict_inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for integer ranks in [0, m):
+    a bottom-up merge, one sort and one searchsorted per level."""
+    m = len(ranks)
+    index = np.arange(m)
+    inversions = 0
+    width = 1
+    while width < m:
+        # `ranks` is sorted within each block of `width`; offsetting each
+        # pair of neighbouring blocks by block * m keeps the pairs apart.
+        block = index // (2 * width)
+        keys = block * m + ranks
+        is_left = index % (2 * width) < width
+        left = keys[is_left]
+        right = ~is_left
+        # For a right item of pair p, its left block ends at (p + 1) * width.
+        ends = (block[right] + 1) * width
+        inversions += int((ends - np.searchsorted(left, keys[right], side="right")).sum())
+        ranks = np.sort(keys) - block * m
+        width *= 2
+    return inversions
 
 
 def kendall_tau(rank_a: Sequence[float], rank_b: Sequence[float]) -> RankStats:
-    """Pair-enumeration Kendall's tau, vectorized over the (m x m) matrix of
-    pair sign products."""
+    """Kendall's tau by merge counting (Knight 1966), O(m log^2 m).
+
+    Pairs with a NaN compare neither way and count as tied.  With the items
+    sorted by (a, b), the discordant pairs are the strict inversions of b;
+    the concordant ones are the rest once the pairs tied in a or in b are
+    taken out."""
     a = np.asarray(rank_a, dtype=float)
     b = np.asarray(rank_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be equal-length 1-d sequences")
     if len(a) < 2:
         raise ValueError("need at least 2 items to rank")
-    prod = _pair_signs(a) * _pair_signs(b)
-    # The matrix is symmetric with a zero diagonal: each pair counts twice.
-    concordant = int(np.count_nonzero(prod > 0)) // 2
-    discordant = int(np.count_nonzero(prod < 0)) // 2
+    keep = ~(np.isnan(a) | np.isnan(b))
+    a, b = a[keep], b[keep]
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    _, ranks, b_counts = np.unique(b, return_inverse=True, return_counts=True)
+    discordant = _strict_inversions(ranks)
+    m = len(a)
+    untied = m * (m - 1) // 2 - _tied_pairs(a) - _pairs_within(b_counts) + _tied_pairs(a, b)
+    concordant = untied - discordant
     total = concordant + discordant
     if total == 0:
         raise ValueError("all pairs are tied; tau is undefined")
@@ -68,25 +113,68 @@ def mean_tau(taus: Sequence[float]) -> float:
 
 
 def read_scores_csv(path) -> np.ndarray:
-    """Load a (epoch, arch_id, accuracy) CSV into an epochs x cohort matrix.
+    """Load a (epoch, arch_id, accuracy) CSV into an epochs x cohort matrix,
+    epochs ascending and architectures in arch_id order.
 
-    Every architecture must be scored at every epoch; ragged input is
-    rejected."""
-    by_epoch: dict[int, dict[str, float]] = {}
+    Every architecture must be scored exactly once at every epoch, with a
+    finite accuracy; ragged, repeated or non-finite input is rejected.  Rows
+    are parsed in blocks into arrays and placed with one scatter."""
+    arch_index: dict[str, int] = {}
+    epochs, archs, accs = [], [], []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            epoch = int(row["epoch"])
-            by_epoch.setdefault(epoch, {})[row["arch_id"]] = float(row["accuracy"])
-    if not by_epoch:
+        reader = csv.reader(fh)
+        columns = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in ("epoch", "arch_id", "accuracy") if c not in columns]
+        if missing:
+            raise ValueError(f"scores file has no {', '.join(missing)} column")
+        fields = itemgetter(columns["epoch"], columns["arch_id"], columns["accuracy"])
+        while chunk := list(islice(reader, _BLOCK_ROWS)):
+            try:
+                block = list(map(fields, filter(None, chunk)))
+            except IndexError:
+                raise ValueError("a scores row has too few fields") from None
+            if not block:
+                continue
+            epoch, arch_id, accuracy = zip(*block)
+            try:
+                epochs.append(np.fromiter(map(int, epoch), np.int64, len(block)))
+            except OverflowError:
+                raise ValueError("an epoch is out of range") from None
+            archs.append(np.fromiter(
+                (arch_index.setdefault(a, len(arch_index)) for a in arch_id), np.int64, len(block)
+            ))
+            accs.append(np.fromiter(map(float, accuracy), float, len(block)))
+    if not epochs:
         raise ValueError("empty scores file")
-    epochs = sorted(by_epoch)
-    arch_ids = sorted(by_epoch[epochs[0]])
-    matrix = np.empty((len(epochs), len(arch_ids)))
-    for i, epoch in enumerate(epochs):
-        scores = by_epoch[epoch]
-        if sorted(scores) != arch_ids:
-            raise ValueError(f"epoch {epoch} does not score the same architectures")
-        matrix[i] = [scores[a] for a in arch_ids]
+    epoch, arch, acc = map(np.concatenate, (epochs, archs, accs))
+    del epochs, archs, accs  # free the blocks before the scatter's temporaries
+    ids = list(arch_index)
+
+    def where(row):
+        return f"epoch {epoch[row]}, arch_id {ids[arch[row]]}"
+
+    bad = np.flatnonzero(~np.isfinite(acc))
+    if len(bad):
+        raise ValueError(f"{where(bad[0])}: accuracy {acc[bad[0]]} is not finite")
+    # Column of each arch: its place in sorted arch_id order.
+    names = sorted(ids)
+    column = np.empty(len(ids), dtype=np.int64)
+    column[[arch_index[a] for a in names]] = np.arange(len(ids))
+    epoch_values, epoch_row = np.unique(epoch, return_inverse=True)
+    cell = epoch_row * len(ids) + column[arch]
+    scored = np.bincount(cell, minlength=len(epoch_values) * len(ids))
+    if scored.max() > 1:
+        _, first = np.unique(cell, return_index=True)
+        repeat = np.setdiff1d(np.arange(len(cell)), first)[0]
+        raise ValueError(f"{where(repeat)} is scored more than once")
+    if scored.min() == 0:
+        unscored = int(np.argmin(scored))
+        raise ValueError(
+            f"epoch {epoch_values[unscored // len(ids)]} does not score "
+            f"arch_id {names[unscored % len(ids)]}"
+        )
+    matrix = np.empty((len(epoch_values), len(ids)))
+    matrix.reshape(-1)[cell] = acc
     return matrix
 
 

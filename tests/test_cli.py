@@ -126,6 +126,16 @@ def test_search_multi_seed_parallel_matches_serial(tmp_path):
         ).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_search_rejects_jobs_below_one_before_any_output(tmp_path, capsys, jobs):
+    cfg = tmp_path / "config.json"
+    write_config(cfg, seeds=[0, 1])
+    out = tmp_path / "batch"
+    assert main(["search", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
 def test_search_outputs_get_the_mode_the_umask_allows(tmp_path, umask, mode):
     cfg = tmp_path / "config.json"
@@ -324,6 +334,27 @@ def test_analyze_tau_rejects_ragged_scores(tmp_path):
     assert main(
         ["analyze-tau", "--scores", str(scores), "--out", str(tmp_path / "t.csv")]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "body,expected",
+    [
+        ("1,a0,0.5\n1,a1,0.6\n1,a0,0.9\n2,a0,0.4\n2,a1,0.7\n", "epoch 1, arch_id a0"),
+        ("1,a0,0.5\n1,a1,nan\n2,a0,0.4\n2,a1,0.7\n", "epoch 1, arch_id a1"),
+        ("1,a0,0.5\n1,a1,0.6\n2,a0,inf\n2,a1,0.7\n", "epoch 2, arch_id a0"),
+        ("1,a0,-inf\n1,a1,0.6\n2,a0,0.4\n2,a1,0.7\n", "epoch 1, arch_id a0"),
+        ("1," + "a" * 200_000 + ",0.5\n1,a1,0.6\n", "field larger than field limit"),
+    ],
+    ids=["repeated", "nan", "inf", "-inf", "oversized-field"],
+)
+def test_analyze_tau_rejects_bad_rows(tmp_path, capsys, body, expected):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("epoch,arch_id,accuracy\n" + body)
+    out = tmp_path / "t.csv"
+    assert main(["analyze-tau", "--scores", str(scores), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and expected in lines[0]
+    assert not out.exists()
 
 
 def test_derive_matches_search_outputs(tmp_path):

@@ -263,3 +263,23 @@ def test_batched_kernels_match_rows_bit_for_bit(batch, aggregation, alpha):
     record_feedback(counts, acc, ops, accuracy, aggregation)
     assert counts.tobytes() == row_counts.tobytes()
     assert acc.tobytes() == row_acc.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches(), st.floats(1e-4, 1.0))
+def test_update_probs_and_net_credit_properties(batch, alpha):
+    probs, counts, acc, _, _ = batch
+    updated = update_probs(probs, counts, acc, alpha)
+    assert np.all(np.abs(updated.sum(axis=1) - 1.0) <= 1e-12)
+    assert updated.min() >= PROB_FLOOR
+
+    credit = net_credit(counts, acc)
+    assert np.all(credit.sum(axis=1) == 0)
+    # pair[:, i, j]: the credit op i takes from op j, scored on that pair alone.
+    m = counts.shape[1]
+    pair = np.zeros(counts.shape + (m,), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            pair[:, i, j] = net_credit(counts[:, [i, j]], acc[:, [i, j]])[:, 0]
+    assert np.array_equal(pair, -pair.transpose(0, 2, 1))
+    assert np.array_equal(credit, pair.sum(axis=2))

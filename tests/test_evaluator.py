@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdnas.evaluator import (
+    _BATCH_SEEDING_MIN,
     SurrogateCurveEvaluator,
     TabularOracle,
+    _seeded_normals,
     best_genotype,
     measure_consistency,
 )
@@ -289,6 +291,39 @@ def test_evaluate_many_equals_stacked_evaluate(kind, seed, cohort, epochs):
     stacked = np.array([[ev.evaluate(a, t) for a in archs] for t in epochs])
     reference = np.array([[_reference_evaluate(ev, a, t) for a in archs] for t in epochs])
     assert batch.tobytes() == stacked.tobytes() == reference.tobytes()
+
+
+# Keys of one and of two 32-bit entropy words, at the edges of each.
+_EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**70 + 3])
+@pytest.mark.parametrize("epoch", [1, 50, 2**32, 2**40 + 9])
+def test_seeded_normals_match_numpy_construction(seed, epoch):
+    rng = np.random.default_rng(epoch)
+    drawn = [int(k) for k in rng.integers(0, 2**64 - 1, size=60, dtype=np.uint64, endpoint=True)]
+    narrow = [int(k) for k in rng.integers(0, 2**32, size=20)]
+    keys = _EDGE_KEYS + drawn + narrow
+    for n in (1, _BATCH_SEEDING_MIN - 1, _BATCH_SEEDING_MIN, len(keys)):
+        batch = keys[:n]
+        reference = np.array([
+            np.random.default_rng(np.random.SeedSequence([seed, key, epoch])).standard_normal()
+            for key in batch
+        ])
+        assert _seeded_normals(seed, batch, epoch).tobytes() == reference.tobytes(), n
+
+
+@pytest.mark.parametrize("cohort", [_BATCH_SEEDING_MIN - 1, _BATCH_SEEDING_MIN, 60])
+def test_evaluate_many_matches_reference_across_the_seeding_crossover(cohort):
+    oracle = TabularOracle.random(10, 4, seed=3)
+    ev = SurrogateCurveEvaluator(
+        oracle, tau_c=4.0, consistency=0.5, consistency_final=0.9, ramp_epochs=5, seed=11
+    )
+    rng = np.random.default_rng(5)
+    archs = [ev.sample_arch(rng) for _ in range(cohort)]
+    epochs = [1, 3, 8]
+    reference = np.array([[_reference_evaluate(ev, a, t) for a in archs] for t in epochs])
+    assert ev.evaluate_many(archs, epochs).tobytes() == reference.tobytes()
 
 
 def test_evaluate_many_rejects_bad_epoch_before_scoring():

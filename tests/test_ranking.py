@@ -1,5 +1,9 @@
+import csv
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdnas.ranking import (
     kendall_tau,
@@ -175,3 +179,91 @@ def test_tau_trace_all_tied_final_row_raises():
     scores = np.array([[0.1, 0.5, 0.9], [0.3, 0.3, 0.3]])
     with pytest.raises(ValueError, match="tied"):
         tau_trace(scores)
+
+
+# Multiples of 1/8 keep naive_kendall's difference products exact: with
+# arbitrary floats a product can underflow to 0 and read as a tie.
+_VALUES = st.integers(-24, 24).map(lambda k: k / 8) | st.sampled_from(
+    [-0.0, math.inf, -math.inf, math.nan]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(2, 60).flatmap(
+        lambda m: st.tuples(
+            st.lists(_VALUES, min_size=m, max_size=m),
+            st.lists(_VALUES, min_size=m, max_size=m),
+        )
+    )
+)
+def test_kendall_tau_matches_naive_with_ties_nan_and_inf(pair):
+    a, b = pair
+    try:
+        p, q, tau = naive_kendall(a, b)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="tied"):
+            kendall_tau(a, b)
+        return
+    stats = kendall_tau(a, b)
+    assert (stats.concordant, stats.discordant, stats.tau) == (p, q, tau)
+
+
+def dictreader_scores(path):
+    """The DictReader reader read_scores_csv replaced, as the oracle for
+    well-formed input."""
+    by_epoch = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            epoch = int(row["epoch"])
+            by_epoch.setdefault(epoch, {})[row["arch_id"]] = float(row["accuracy"])
+    epochs = sorted(by_epoch)
+    arch_ids = sorted(by_epoch[epochs[0]])
+    matrix = np.empty((len(epochs), len(arch_ids)))
+    for i, epoch in enumerate(epochs):
+        matrix[i] = [by_epoch[epoch][a] for a in arch_ids]
+    return matrix
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_read_scores_csv_matches_dictreader(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    # Up to 3 x 700 rows, so some cases span several parse blocks.
+    epochs = rng.choice(np.arange(-5, 2000), size=int(rng.integers(1, 4)), replace=False)
+    archs = [f"x{rng.integers(10**6)}-{i}" for i in range(int(rng.integers(1, 700)))]
+    rows = [
+        [str(e), a, repr(float(v))]
+        for e in epochs
+        for a, v in zip(archs, rng.normal(size=len(archs)))
+    ]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    header = ["epoch", "arch_id", "accuracy", "note"]
+    cols = rng.permutation(4)
+    path = tmp_path / "scores.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([header[c] for c in cols])
+        for i, row in enumerate(rows):
+            writer.writerow([(row + ["n"])[c] for c in cols])
+            if i % 97 == 0:
+                fh.write("\r\n")  # blank lines are skipped, as DictReader does
+    assert read_scores_csv(path).tobytes() == dictreader_scores(path).tobytes()
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("1,a0,0.5\n1,a1,0.6\n1,a0,0.9\n2,a0,0.1\n2,a1,0.2\n", "epoch 1, arch_id a0 is scored more than once"),
+        ("1,a0,0.5\n1,a1,nan\n2,a0,0.1\n2,a1,0.2\n", "epoch 1, arch_id a1: accuracy nan"),
+        ("1,a0,0.5\n1,a1,0.6\n2,a0,-inf\n2,a1,0.2\n", "epoch 2, arch_id a0: accuracy -inf"),
+        ("1,a0,0.5\n1,a1,0.6\n2,a1,0.2\n", "epoch 2 does not score arch_id a0"),
+        ("1,a0,0.5\n1,a1\n", "too few fields"),
+        ("", "empty scores file"),
+    ],
+    ids=["repeated", "nan", "-inf", "ragged", "short-row", "empty"],
+)
+def test_read_scores_csv_rejects_bad_rows(tmp_path, body, message):
+    path = tmp_path / "scores.csv"
+    path.write_text("epoch,arch_id,accuracy\n" + body)
+    with pytest.raises(ValueError, match=message):
+        read_scores_csv(path)
