@@ -13,6 +13,9 @@ batch gives, bit for bit, what the rows give one by one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 PROB_FLOOR = 1e-6
@@ -22,11 +25,13 @@ AGGREGATIONS = ("latest", "mean", "max")
 
 def sample_gate(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw the sampled op of one edge; consumes exactly one uniform variate
-    so replays with the same generator state are reproducible."""
+    so replays with the same generator state are reproducible.  The op is
+    the first whose running sum exceeds u * total, clipped to M - 1; the
+    sums are added left to right in double precision, as np.cumsum adds a
+    float64 row."""
     u = rng.random()
-    cum = np.cumsum(probs)
-    op = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    return min(op, len(probs) - 1)
+    cum = list(accumulate(np.asarray(probs).tolist()))
+    return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
 
 
 def record_feedback(

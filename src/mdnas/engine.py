@@ -6,7 +6,6 @@ disjoint distributions.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, asdict
@@ -281,32 +280,34 @@ class Searcher:
         shape = (searcher.num_edges, config.num_ops)
         if not searcher.probs.shape == searcher.counts.shape == searcher.acc.shape == shape:
             raise ValueError("checkpoint distributions have the wrong number of ops")
-        for rng, state in zip(searcher.rngs, snapshot["rng_states"]):
+        states = snapshot["rng_states"]
+        if len(states) != searcher.num_edges:
+            raise ValueError(
+                f"checkpoint has {len(states)} rng states for {searcher.num_edges} edges"
+            )
+        for rng, state in zip(searcher.rngs, states):
             rng.bit_generator.state = state
         searcher.trace = [EpochRecord.from_dict(doc) for doc in snapshot["trace"]]
+        if len(searcher.trace) != searcher.epoch:
+            raise ValueError(
+                f"checkpoint has {len(searcher.trace)} trace records for epoch {searcher.epoch}"
+            )
         return searcher
 
 
 def write_trace_csv(path, trace, edges_per_cell: int, num_ops: int) -> None:
     """One row per (epoch, cell, edge): the sampled op, the shared accuracy,
-    and the post-update probability vector."""
+    and the post-update probability vector.  No field ever needs quoting, so
+    each row is one format call, ended by CRLF as csv.writer ends its rows."""
+    header = ["epoch", "accuracy", "cell_kind", "edge_index", "sampled_op"]
+    header += [f"prob_{i}" for i in range(num_ops)]
+    edge_prefixes = [f"{kind},{i}," for kind in CELL_KINDS for i in range(edges_per_cell)]
+    row_format = "%s%s%d," + ",".join(["%.10f"] * num_ops) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "accuracy", "cell_kind", "edge_index", "sampled_op"]
-            + [f"prob_{i}" for i in range(num_ops)]
-        )
+        fh.write(",".join(header) + "\r\n")
         for record in trace:
-            for global_idx in range(len(record.arch)):
-                kind = CELL_KINDS[global_idx // edges_per_cell]
-                edge_idx = global_idx % edges_per_cell
-                writer.writerow(
-                    [
-                        record.epoch,
-                        f"{record.accuracy:.10f}",
-                        kind,
-                        edge_idx,
-                        record.arch[global_idx],
-                    ]
-                    + [f"{p:.10f}" for p in record.probs[global_idx]]
-                )
+            head = "%d,%.10f," % (record.epoch, record.accuracy)
+            fh.writelines(
+                row_format % (head, prefix, op, *p)
+                for prefix, op, p in zip(edge_prefixes, record.arch, record.probs)
+            )

@@ -136,11 +136,16 @@ class TabularOracle:
             raise ValueError("interaction_strength must be >= 0")
         self.q = q
         self.interaction_strength = interaction_strength
+        e, m = q.shape
+        # Flat offsets: q[k, arch[k]] is q.ravel()[_row_base + arch], and
+        # _w[i, j, arch[i], arch[j]] is _w.ravel()[_pair_base + arch[i]*m + arch[j]].
+        self._row_base = np.arange(e) * m
         if interaction_strength > 0:
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7]))
-            e, m = q.shape
             self._w = rng.uniform(-1.0, 1.0, size=(e, e, m, m))
             self._pairs = np.triu_indices(e, k=1)
+            i, j = self._pairs
+            self._pair_base = (i * e + j) * (m * m)
         else:
             self._w = None
 
@@ -179,17 +184,20 @@ class TabularOracle:
             raise ValueError(
                 f"architecture has {arch.shape} edges, oracle expects {self.num_edges}"
             )
+        # The flat gathers would read a neighbouring row for an id out of range.
+        if arch.min() < 0 or arch.max() >= self.num_ops:
+            raise ValueError(f"op ids must lie in [0, {self.num_ops})")
         return arch
 
     def true_score(self, arch: Sequence[int]) -> float:
         arch = self._check(arch)
-        score = float(self.q[np.arange(self.num_edges), arch].mean())
+        score = float(self.q.ravel()[self._row_base + arch].mean())
         if self._w is not None:
             # Edge pairs i < j in row-major order, gathered directly.
             i, j = self._pairs
-            inter = self._w[i, j, arch[i], arch[j]]
+            inter = self._w.ravel()[self._pair_base + arch[i] * self.num_ops + arch[j]]
             score += self.interaction_strength * float(inter.mean())
-        return float(np.clip(score, 0.0, 1.0))
+        return min(max(score, 0.0), 1.0)
 
     def evaluate(self, arch: Sequence[int], epoch: int) -> float:
         if epoch < 1:
@@ -197,7 +205,7 @@ class TabularOracle:
         return self.true_score(arch)
 
     def sample_arch(self, rng: np.random.Generator) -> ArchitectureSample:
-        return tuple(int(v) for v in rng.integers(self.num_ops, size=self.num_edges))
+        return tuple(rng.integers(self.num_ops, size=self.num_edges).tolist())
 
 
 def best_genotype(oracle: TabularOracle, template: CellTemplate, k: int) -> Genotype:

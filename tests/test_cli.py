@@ -441,6 +441,24 @@ def test_derive_rejects_corrupt_checkpoint(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("corrupt", ["rng_states", "trace"])
+def test_derive_rejects_truncated_checkpoint(tmp_path, corrupt):
+    cfg = tmp_path / "c.json"
+    write_config(cfg)
+    out = tmp_path / "run"
+    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
+    snapshot = json.loads((out / "checkpoint.json").read_text())
+    snapshot[corrupt].pop()
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(snapshot))
+    derived = tmp_path / "derived" / "g.json"
+    proc = _run_cli("derive", "--checkpoint", str(bad), "--out", str(derived))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad checkpoint"), proc.stderr
+    assert not derived.parent.exists()
+
+
 def _run_cli(*argv, **env_vars):
     """Run `python -m mdnas.cli` in a fresh process, with logging as a user
     gets it rather than as pytest configures it."""

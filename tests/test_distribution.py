@@ -79,6 +79,49 @@ def test_sample_gate_deterministic_replay():
     assert seq1 == seq2
 
 
+def _reference_sample_gate(probs, rng):
+    """The np.cumsum / np.searchsorted sampler that sample_gate replaced."""
+    u = rng.random()
+    cum = np.cumsum(probs)
+    op = int(np.searchsorted(cum, u * cum[-1], side="right"))
+    return min(op, len(probs) - 1)
+
+
+@st.composite
+def _gate_rows(draw):
+    """A row of 1 to 8 op probabilities: arbitrary, a normalised simplex
+    row, one-hot, all at PROB_FLOOR but one, or all zero."""
+    m = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["mixed", "simplex", "one-hot", "floor", "zeros"]))
+    if kind == "zeros":
+        return np.zeros(m)
+    if kind in ("one-hot", "floor"):
+        row = np.full(m, 0.0 if kind == "one-hot" else PROB_FLOOR)
+        row[draw(st.integers(0, m - 1))] = 1.0 - (m - 1) * row[0]
+        return row
+    entry = st.one_of(
+        st.just(0.0), st.just(PROB_FLOOR), st.floats(0.0, 1.0), st.floats(1e-12, 1e-3)
+    )
+    row = draw(hnp.arrays(np.float64, m, elements=entry))
+    if kind == "simplex" and row.sum() > 0:
+        row = PROB_FLOOR + (row / row.sum()) * (1.0 - m * PROB_FLOOR)
+    return row
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gate_rows(), st.integers(0, 2**64 - 1), st.booleans())
+def test_sample_gate_matches_cumsum_searchsorted(row, seed, as_list):
+    """Same op and same generator state after every draw, for an array row
+    and for the same row as a list."""
+    probs = row.tolist() if as_list else row
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(16):
+        op = sample_gate(probs, rng)
+        assert type(op) is int
+        assert op == _reference_sample_gate(row, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_record_feedback_single_update():
     probs, counts, acc = _records(8)
     record_feedback(counts, acc, 3, 0.42)

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from mdnas.distribution import PROB_FLOOR
 from mdnas.engine import (
     EpochRecord,
     SearchConfig,
@@ -159,6 +161,33 @@ def test_checkpoint_round_trip_idempotent():
     assert json.dumps(snap, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_checkpoint_rejects_wrong_number_of_rng_states(extra):
+    s = Searcher(small_config())
+    s.step()
+    snap = json.loads(json.dumps(s.checkpoint()))
+    if extra < 0:
+        snap["rng_states"].pop()
+    else:
+        snap["rng_states"].append(snap["rng_states"][0])
+    with pytest.raises(ValueError, match="rng states"):
+        Searcher.from_checkpoint(snap)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_checkpoint_rejects_trace_length_other_than_epoch(extra):
+    s = Searcher(small_config())
+    for _ in range(3):
+        s.step()
+    snap = json.loads(json.dumps(s.checkpoint()))
+    if extra < 0:
+        snap["trace"].pop()
+    else:
+        snap["epoch"] -= 1
+    with pytest.raises(ValueError, match="trace records"):
+        Searcher.from_checkpoint(snap)
+
+
 def test_checkpoint_rejects_config_mismatch():
     s = Searcher(small_config())
     s.step()
@@ -189,6 +218,50 @@ def test_trace_csv_shape(tmp_path):
     header = lines[0].split(",")
     assert header[:5] == ["epoch", "accuracy", "cell_kind", "edge_index", "sampled_op"]
     assert header[5:] == [f"prob_{i}" for i in range(cfg.num_ops)]
+
+
+def _reference_write_trace_csv(path, trace, edges_per_cell, num_ops):
+    """The csv.writer trace writer that write_trace_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["epoch", "accuracy", "cell_kind", "edge_index", "sampled_op"]
+            + [f"prob_{i}" for i in range(num_ops)]
+        )
+        for record in trace:
+            for global_idx in range(len(record.arch)):
+                kind = ("norm", "reduction")[global_idx // edges_per_cell]
+                writer.writerow(
+                    [
+                        record.epoch,
+                        f"{record.accuracy:.10f}",
+                        kind,
+                        global_idx % edges_per_cell,
+                        record.arch[global_idx],
+                    ]
+                    + [f"{p:.10f}" for p in record.probs[global_idx]]
+                )
+
+
+@pytest.mark.parametrize("num_ops", [1, 8])
+@pytest.mark.parametrize("num_intermediate", [1, 2, 3])
+def test_write_trace_csv_matches_csv_writer_bytes(tmp_path, num_intermediate, num_ops):
+    """Synthetic records (accuracies 0 and 1, probabilities at the floor)
+    plus a real run that went through a JSON checkpoint."""
+    cfg = small_config(num_intermediate=num_intermediate, num_ops=num_ops, epochs=4)
+    part = Searcher(cfg)
+    part.run()
+    trace = Searcher.from_checkpoint(json.loads(json.dumps(part.checkpoint()))).trace
+    rng = np.random.default_rng(num_intermediate * 10 + num_ops)
+    for epoch, accuracy in enumerate([0.0, 1.0, 1 / 3, 1e-12, 0.99999999999], start=5):
+        probs = rng.dirichlet(np.ones(num_ops), size=part.num_edges)
+        probs[rng.random(probs.shape) < 0.4] = PROB_FLOOR
+        arch = rng.integers(num_ops, size=part.num_edges).tolist()
+        trace.append(EpochRecord(epoch, tuple(arch), accuracy, tuple(map(tuple, probs.tolist()))))
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    write_trace_csv(got, trace, part.edges_per_cell, num_ops)
+    _reference_write_trace_csv(expected, trace, part.edges_per_cell, num_ops)
+    assert got.read_bytes() == expected.read_bytes()
 
 
 def test_epoch_record_round_trip():

@@ -39,6 +39,28 @@ def test_oracle_rejects_wrong_edge_count():
         oracle.evaluate((0,) * 13, 1)
 
 
+@pytest.mark.parametrize("op", [-1, -8, 8, 2**40])
+def test_oracle_rejects_op_ids_out_of_range(op):
+    for strength in (0.0, 0.3):
+        oracle = TabularOracle.random(6, 8, seed=2, interaction_strength=strength)
+        arch = [0] * 6
+        arch[3] = op
+        with pytest.raises(ValueError, match="op ids"):
+            oracle.true_score(arch)
+
+
+@pytest.mark.parametrize("num_ops", [1, 8])
+def test_sample_arch_returns_python_ints_of_the_same_draw(num_ops):
+    oracle = TabularOracle.random(28, num_ops, seed=4)
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(20):
+        arch = oracle.sample_arch(rng)
+        expected = tuple(int(v) for v in ref.integers(num_ops, size=28))
+        assert type(arch) is tuple and all(type(v) is int for v in arch)
+        assert arch == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_oracle_rejects_bad_epoch():
     oracle = TabularOracle.random(4, 4)
     with pytest.raises(ValueError):
