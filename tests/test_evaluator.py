@@ -354,6 +354,22 @@ def test_evaluate_many_rejects_bad_epoch_before_scoring():
         ev.evaluate_many([(0,) * 3], [1, 0])  # the arch is malformed too
 
 
+
+def test_true_score_clips_as_np_clip_does():
+    """Strong interactions push raw scores outside [0, 1]; the clipped
+    score is the float np.clip gives."""
+    oracle = TabularOracle.random(10, 4, seed=5, interaction_strength=6.0)
+    rng = np.random.default_rng(5)
+    clipped = set()
+    for _ in range(200):
+        arch = np.asarray(oracle.sample_arch(rng))
+        i, j = np.triu_indices(10, k=1)
+        raw = float(oracle.q[np.arange(10), arch].mean())
+        raw += 6.0 * float(oracle._w[i, j, arch[i], arch[j]].mean())
+        assert oracle.true_score(tuple(arch)).hex() == float(np.clip(raw, 0.0, 1.0)).hex()
+        clipped.add((raw < 0) - (raw > 1))
+    assert clipped == {-1, 0, 1}
+
 @pytest.mark.parametrize("num_edges", [3, 10, 28])
 def test_interaction_true_score_matches_full_matrix_formula(num_edges):
     oracle = TabularOracle.random(num_edges, 8, seed=num_edges, interaction_strength=0.3)
