@@ -4,8 +4,6 @@ hypothesis."""
 
 from .search_space import (
     OP_NAMES,
-    NodeId,
-    Edge,
     CellTemplate,
     Genotype,
     build_cell_template,
@@ -28,8 +26,6 @@ from .engine import SearchConfig, SearchResult, Searcher
 
 __all__ = [
     "OP_NAMES",
-    "NodeId",
-    "Edge",
     "CellTemplate",
     "Genotype",
     "build_cell_template",

@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from .distribution import AGGREGATIONS, record_feedback, sample_gate, update_probs
 from .evaluator import SurrogateCurveEvaluator, TabularOracle
-from .search_space import CELL_KINDS, Genotype, build_cell_template, derive_genotype
+from .search_space import (
+    CELL_KINDS, Genotype, _check_probs, build_cell_template, derive_genotype, edge_count
+)
 
 # What each SearchConfig annotation accepts; bool never counts as a number.
 _FIELD_TYPES = {
@@ -31,6 +34,9 @@ def _check_type(name: str, value, type_name: str) -> None:
     accepted = _FIELD_TYPES[type_name]
     if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
         raise ValueError(f"{name} must be of type {type_name}, got {value!r}")
+    # NaN, +-inf and ints too large for a float all fail this comparison.
+    if type_name == "float" and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -116,7 +122,7 @@ def build_evaluator(config: SearchConfig):
         if not (value is None and key in ("consistency_final", "ramp_epochs")):
             _check_type(f"evaluator.{key}", value, _SPEC_TYPES[key])
     seed = spec.get("seed", config.seed)
-    num_edges = 2 * sum(i + 1 for i in range(1, config.num_intermediate + 1))
+    num_edges = 2 * edge_count(config.num_intermediate)
     if "q" in spec:
         oracle = TabularOracle(
             np.asarray(spec["q"], dtype=float),
@@ -274,7 +280,7 @@ class Searcher:
         docs = snapshot["distributions"]
         if len(docs) != searcher.num_edges:
             raise ValueError("checkpoint has the wrong number of edges")
-        searcher.probs = np.array([d["probs"] for d in docs], dtype=float)
+        searcher.probs = _check_probs([d["probs"] for d in docs], searcher.num_edges)
         searcher.counts = np.array([d["epochs"] for d in docs], dtype=np.int64)
         searcher.acc = np.array([d["acc"] for d in docs], dtype=float)
         shape = (searcher.num_edges, config.num_ops)

@@ -130,8 +130,8 @@ class TabularOracle:
         q = np.asarray(q, dtype=float)
         if q.ndim != 2:
             raise ValueError("q must be a (num_edges, num_ops) table")
-        if np.any(q < 0) or np.any(q > 1):
-            raise ValueError("q entries must lie in [0, 1]")
+        if not np.all((q >= 0) & (q <= 1)):
+            raise ValueError("q entries must be finite and lie in [0, 1]")
         if interaction_strength < 0:
             raise ValueError("interaction_strength must be >= 0")
         self.q = q
@@ -168,6 +168,8 @@ class TabularOracle:
     ) -> "TabularOracle":
         """Uniform-random table; with argmax_margin > 0 the best op on every
         edge beats the runner-up by at least that margin."""
+        if not 0 <= argmax_margin <= 1:
+            raise ValueError(f"argmax_margin must lie in [0, 1], got {argmax_margin!r}")
         rng = np.random.default_rng(seed)
         q = rng.uniform(size=(num_edges, num_ops))
         if argmax_margin > 0:

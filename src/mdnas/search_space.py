@@ -32,80 +32,43 @@ NONE_OP_ID = OP_NAMES.index("none")
 CELL_KINDS = ("norm", "reduction")
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """A node in a cell DAG.
-
-    Sort order places input nodes before intermediate nodes, which matches the
-    topological order used for edge enumeration.
-    """
-
-    rank: int  # 0 = input, 1 = intermediate, 2 = output
-    index: int  # 1-based ordinal within the kind
-
-    @classmethod
-    def input(cls, index: int) -> "NodeId":
-        return cls(0, index)
-
-    @classmethod
-    def intermediate(cls, index: int) -> "NodeId":
-        return cls(1, index)
-
-    @property
-    def kind(self) -> str:
-        return ("input", "intermediate", "output")[self.rank]
-
-    @property
-    def label(self) -> str:
-        if self.rank == 0:
-            return f"I{self.index}"
-        if self.rank == 1:
-            return f"B{self.index}"
-        return "O"
-
-
-@dataclass(frozen=True)
-class Edge:
-    src: NodeId
-    dst: NodeId
-
-    def __post_init__(self):
-        if self.dst.kind != "intermediate":
-            raise ValueError("edge destination must be an intermediate node")
-        if self.src >= self.dst:
-            raise ValueError("edge source must precede its destination")
+def edge_count(num_intermediate: int) -> int:
+    """Edges of a cell with N intermediate nodes: node i has i + 1 inputs,
+    so sum_{i=1..N} (i + 1) = N(N + 3)/2."""
+    return num_intermediate * (num_intermediate + 3) // 2
 
 
 @dataclass(frozen=True)
 class CellTemplate:
+    """Edges are numbered node by node: node B_i takes edges
+    incoming(i), one from each of I1, I2, B1 .. B_{i-1} in that order.
+    sources holds each edge's source label."""
+
     num_intermediate: int
     kind: str
-    edges: tuple[Edge, ...]
+    sources: tuple[str, ...]
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.sources)
 
-    def incoming(self, node_index: int) -> list[int]:
+    def incoming(self, node_index: int) -> range:
         """Edge indices feeding intermediate node `node_index` (1-based)."""
-        dst = NodeId.intermediate(node_index)
-        return [i for i, e in enumerate(self.edges) if e.dst == dst]
+        start = edge_count(node_index - 1)
+        return range(start, start + node_index + 1)
 
 
 def build_cell_template(num_intermediate: int, kind: str) -> CellTemplate:
     """Build the full DAG template: node i receives edges from both inputs and
-    every earlier intermediate node, so |edges| = sum_{i=1..N}(i+1)."""
+    every earlier intermediate node."""
     if num_intermediate < 1:
         raise ValueError("num_intermediate must be >= 1")
     if kind not in CELL_KINDS:
         raise ValueError(f"cell kind must be one of {CELL_KINDS}")
-    edges = []
+    sources = []
     for i in range(1, num_intermediate + 1):
-        dst = NodeId.intermediate(i)
-        srcs = [NodeId.input(1), NodeId.input(2)]
-        srcs += [NodeId.intermediate(j) for j in range(1, i)]
-        edges += [Edge(src, dst) for src in srcs]
-    return CellTemplate(num_intermediate, kind, tuple(edges))
+        sources += ["I1", "I2"] + [f"B{j}" for j in range(1, i)]
+    return CellTemplate(num_intermediate, kind, tuple(sources))
 
 
 def search_space_size(num_intermediate: int, num_ops: int) -> int:
@@ -113,8 +76,7 @@ def search_space_size(num_intermediate: int, num_ops: int) -> int:
     num_ops to the number of edges."""
     if num_intermediate < 1 or num_ops < 1:
         raise ValueError("arguments must be >= 1")
-    num_edges = sum(i + 1 for i in range(1, num_intermediate + 1))
-    return 2 * num_ops**num_edges
+    return 2 * num_ops ** edge_count(num_intermediate)
 
 
 @dataclass(frozen=True)
@@ -136,12 +98,14 @@ class Genotype:
         return cls(doc["kind"], nodes)
 
 
-def _validate_probs(probs: np.ndarray, num_ops: int) -> np.ndarray:
+def _check_probs(probs, num_edges: int) -> np.ndarray:
+    """probs as a (num_edges, ops) array whose rows are non-negative and sum
+    to 1.  The comparisons are written so that NaN fails them."""
     probs = np.asarray(probs, dtype=float)
-    if probs.shape != (num_ops,):
-        raise ValueError(f"expected probability vector of length {num_ops}")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-6:
-        raise ValueError("probability vector must be non-negative and sum to 1")
+    if probs.ndim != 2 or len(probs) != num_edges:
+        raise ValueError(f"need one probability row per edge ({num_edges}), got {probs.shape}")
+    if not (np.all(probs >= 0) and np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)):
+        raise ValueError("probability rows must be non-negative and sum to 1")
     return probs
 
 
@@ -158,41 +122,32 @@ def derive_genotype(
     break toward the lower edge index and lower op id, so the result is
     deterministic.
     """
-    if len(distributions) != template.num_edges:
-        raise ValueError("need one probability vector per template edge")
-    num_ops = len(distributions[0])
-    probs = [_validate_probs(p, num_ops) for p in distributions]
+    probs = _check_probs(distributions, template.num_edges)
     return _top_k_genotype(template, probs, k, exclude_none)
 
 
 def _top_k_genotype(
     template: CellTemplate,
-    scores: Sequence[np.ndarray],
+    scores: np.ndarray,
     k: int,
     exclude_none: bool = False,
 ) -> Genotype:
     """Per intermediate node, the k incoming edges whose best allowed op
     scores highest, each with that op; ties as in derive_genotype.  Rows
     need not be probabilities (best_genotype passes quality rows)."""
-    in_degree = len(template.incoming(1))
-    if not 1 <= k <= in_degree:
-        raise ValueError(f"k={k} must lie in [1, {in_degree}], the in-degree of node B1")
-    num_ops = len(scores[0])
-    allowed = np.ones(num_ops, dtype=bool)
+    if not 1 <= k <= 2:
+        raise ValueError(f"k={k} must lie in [1, 2], the in-degree of node B1")
+    num_ops = scores.shape[1]
     if exclude_none and NONE_OP_ID < num_ops:
-        allowed[NONE_OP_ID] = False
-
+        scores = np.where(np.arange(num_ops) == NONE_OP_ID, -np.inf, scores)
+    ops = scores.argmax(axis=1)  # argmax takes the lowest id on ties
+    best = scores.max(axis=1)
+    names = OP_NAMES if num_ops == NUM_OPS else [str(op) for op in range(num_ops)]
     nodes = []
     for i in range(1, template.num_intermediate + 1):
-        scored = []
-        for edge_idx in template.incoming(i):
-            row = np.where(allowed, scores[edge_idx], -np.inf)
-            op_id = int(np.argmax(row))  # argmax takes the lowest id on ties
-            scored.append((-row[op_id], edge_idx, op_id))
-        scored.sort()
-        picks = []
-        for _, edge_idx, op_id in scored[:k]:
-            src = template.edges[edge_idx].src
-            picks.append((src.label, OP_NAMES[op_id] if num_ops == NUM_OPS else str(op_id)))
-        nodes.append(tuple(picks))
+        edges = template.incoming(i)
+        kept = np.argsort(-best[edges], kind="stable")[:k]
+        nodes.append(
+            tuple((template.sources[edges[j]], names[ops[edges[j]]]) for j in kept)
+        )
     return Genotype(template.kind, tuple(nodes))

@@ -219,6 +219,27 @@ BAD_VALUES = {
         }
     },
     "spec-tau_c-string": {"evaluator": {"type": "surrogate", "seed": 1, "tau_c": "5"}},
+    # JSON's NaN and Infinity are numbers to Python's json module
+    "alpha-nan": {"alpha": float("nan")},
+    "alpha-inf": {"alpha": float("inf")},
+    "alpha-huge-int": {"alpha": 10**400},
+    "spec-tau_c-nan": {"evaluator": {"type": "surrogate", "seed": 1, "tau_c": float("nan")}},
+    "spec-interaction_strength-nan": {
+        "evaluator": {"type": "tabular", "seed": 1, "interaction_strength": float("nan")}
+    },
+    "spec-interaction_strength-huge-int": {
+        "evaluator": {"type": "tabular", "seed": 1, "interaction_strength": 10**400}
+    },
+    "spec-q-nan": {"evaluator": {"type": "tabular", "q": [[0.5] * 4] * 9 + [[float("nan")] * 4]}},
+    "spec-argmax_margin-negative": {
+        "evaluator": {"type": "tabular", "seed": 1, "argmax_margin": -0.5}
+    },
+    "spec-argmax_margin-nan": {
+        "evaluator": {"type": "tabular", "seed": 1, "argmax_margin": float("nan")}
+    },
+    "spec-argmax_margin-1.5": {
+        "evaluator": {"type": "tabular", "seed": 1, "argmax_margin": 1.5}
+    },
 }
 
 
@@ -449,6 +470,23 @@ def test_derive_rejects_truncated_checkpoint(tmp_path, corrupt):
     assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
     snapshot = json.loads((out / "checkpoint.json").read_text())
     snapshot[corrupt].pop()
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(snapshot))
+    derived = tmp_path / "derived" / "g.json"
+    proc = _run_cli("derive", "--checkpoint", str(bad), "--out", str(derived))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad checkpoint"), proc.stderr
+    assert not derived.parent.exists()
+
+
+def test_derive_rejects_nan_probs(tmp_path):
+    cfg = tmp_path / "c.json"
+    write_config(cfg)
+    out = tmp_path / "run"
+    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
+    snapshot = json.loads((out / "checkpoint.json").read_text())
+    snapshot["distributions"][3]["probs"][0] = float("nan")
     bad = tmp_path / "checkpoint.json"
     bad.write_text(json.dumps(snapshot))
     derived = tmp_path / "derived" / "g.json"

@@ -184,7 +184,7 @@ def test_best_genotype_unique_argmax():
     g = best_genotype(oracle, tpl, 1)
     for i, node in enumerate(g.nodes, start=1):
         best_edge = max(tpl.incoming(i), key=lambda e: oracle.q[e].max())
-        assert node[0][0] == tpl.edges[best_edge].src.label
+        assert node[0][0] == tpl.sources[best_edge]
 
 
 def test_best_genotype_constant_table_matches_uniform_derive():
@@ -212,7 +212,7 @@ def _enumerate_best(oracle, tpl, k):
             best_val = val
             best_nodes = tuple(
                 tuple(
-                    (tpl.edges[e].src.label, str(o))
+                    (tpl.sources[e], str(o))
                     for e, o in sorted(
                         zip(c[1], c[2]), key=lambda t: -oracle.q[t[0], t[1]]
                     )

@@ -6,7 +6,6 @@ import pytest
 from mdnas.search_space import (
     CELL_KINDS,
     Genotype,
-    NodeId,
     OP_NAMES,
     build_cell_template,
     derive_genotype,
@@ -31,7 +30,7 @@ def test_operation_set_is_the_canonical_eight():
 def test_default_cell_has_14_edges_and_7_nodes():
     tpl = build_cell_template(4, "norm")
     assert tpl.num_edges == 14
-    nodes = {e.src for e in tpl.edges} | {e.dst for e in tpl.edges}
+    nodes = set(tpl.sources) | {f"B{i}" for i in range(1, 5)}
     assert len(nodes) == 6  # output node not on any searchable edge
     assert tpl.num_intermediate == 4
 
@@ -39,8 +38,8 @@ def test_default_cell_has_14_edges_and_7_nodes():
 def test_smallest_cell():
     tpl = build_cell_template(1, "norm")
     assert tpl.num_edges == 2
-    assert all(e.dst == NodeId.intermediate(1) for e in tpl.edges)
-    assert [e.src.label for e in tpl.edges] == ["I1", "I2"]
+    assert tpl.incoming(1) == range(2)
+    assert tpl.sources == ("I1", "I2")
 
 
 def test_three_node_reduction_cell():
@@ -60,8 +59,11 @@ def test_edge_count_law(n):
 
 def test_edge_ordering_is_sorted_by_dst_then_src():
     tpl = build_cell_template(4, "norm")
-    keys = [(e.dst, e.src) for e in tpl.edges]
-    assert keys == sorted(keys)
+    # node by node, and within a node inputs first, then B1, B2, ...
+    assert [e for i in range(1, 5) for e in tpl.incoming(i)] == list(range(14))
+    for i in range(1, 5):
+        srcs = [tpl.sources[e] for e in tpl.incoming(i)]
+        assert srcs == ["I1", "I2"] + [f"B{j}" for j in range(1, i)]
 
 
 def test_rejects_zero_intermediate_nodes():
@@ -103,7 +105,7 @@ def test_derive_genotype_uniform_tie_break():
     g = derive_genotype(tpl, dists, 2)
     for i, node in enumerate(g.nodes, start=1):
         first_two = tpl.incoming(i)[:2]
-        assert [src for src, _ in node] == [tpl.edges[j].src.label for j in first_two]
+        assert [src for src, _ in node] == [tpl.sources[j] for j in first_two]
         assert all(op == OP_NAMES[0] for _, op in node)
 
 
@@ -120,31 +122,45 @@ def test_derive_genotype_degenerate_distribution():
             p = np.ones(8)
         dists.append(p / p.sum())
     g = derive_genotype(tpl, dists, 1)
-    assert g.nodes[0] == ((tpl.edges[tpl.incoming(1)[1]].src.label, "sep_conv_3x3"),)
-    assert g.nodes[1] == ((tpl.edges[tpl.incoming(2)[2]].src.label, "sep_conv_3x3"),)
+    assert g.nodes[0] == ((tpl.sources[tpl.incoming(1)[1]], "sep_conv_3x3"),)
+    assert g.nodes[1] == ((tpl.sources[tpl.incoming(2)[2]], "sep_conv_3x3"),)
 
 
-def _brute_force_genotype(tpl, dists, k):
+def _brute_force_genotype(n, dists, k, exclude_none=False):
+    """Number the edges node by node from scratch, then sort each node's
+    (edge, best op) pairs on (-score, edge, op)."""
+    m = len(dists[0])
+    names = OP_NAMES if m == len(OP_NAMES) else [str(o) for o in range(m)]
+    allowed = [o for o in range(m) if not (exclude_none and o == OP_NAMES.index("none"))]
+    edges = [
+        (i, src) for i in range(1, n + 1) for src in ["I1", "I2"] + [f"B{j}" for j in range(1, i)]
+    ]
     nodes = []
-    for i in range(1, tpl.num_intermediate + 1):
+    for i in range(1, n + 1):
         pairs = []
-        for edge_idx in tpl.incoming(i):
-            op = int(np.argmax(dists[edge_idx]))
-            pairs.append((edge_idx, op, dists[edge_idx][op]))
-        pairs.sort(key=lambda t: (-t[2], t[0], t[1]))
-        nodes.append(
-            tuple((tpl.edges[e].src.label, OP_NAMES[o]) for e, o, _ in pairs[:k])
-        )
+        for edge_idx, (dst, src) in enumerate(edges):
+            if dst == i:
+                op = max(allowed, key=lambda o: (dists[edge_idx][o], -o))
+                pairs.append((-dists[edge_idx][op], edge_idx, op, src))
+        pairs.sort()
+        nodes.append(tuple((src, names[o]) for _, _, o, src in pairs[:k]))
     return tuple(nodes)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_derive_genotype_matches_sorting_oracle(seed):
+    # Rows on a grid of quarters, so ops tie within a row and edges tie
+    # across a node; every (N, M, k, exclude_none) case on each seed.
     rng = np.random.default_rng(seed)
-    tpl = build_cell_template(4, "norm")
-    dists = [rng.dirichlet(np.ones(8)) for _ in range(14)]
-    g = derive_genotype(tpl, dists, 2)
-    assert g.nodes == _brute_force_genotype(tpl, dists, 2)
+    for n in range(1, 6):
+        tpl = build_cell_template(n, "norm")
+        for m in (1, 2, 5, 8):
+            dists = rng.multinomial(4, np.full(m, 1.0 / m), size=tpl.num_edges) / 4
+            for k in (1, 2):
+                for exclude_none in (False, True):
+                    g = derive_genotype(tpl, dists, k, exclude_none=exclude_none)
+                    expected = _brute_force_genotype(n, dists, k, exclude_none)
+                    assert g.nodes == expected, (n, m, k, exclude_none)
 
 
 def test_derive_genotype_is_deterministic():
@@ -160,7 +176,7 @@ def test_derive_genotype_membership():
     dists = [rng.dirichlet(np.ones(8)) for _ in range(14)]
     g = derive_genotype(tpl, dists, 2)
     srcs_by_node = {
-        i: {tpl.edges[j].src.label for j in tpl.incoming(i)}
+        i: {tpl.sources[j] for j in tpl.incoming(i)}
         for i in range(1, 5)
     }
     for i, node in enumerate(g.nodes, start=1):
@@ -187,9 +203,22 @@ def test_derive_genotype_rejects_k_below_one(k):
 
 def test_derive_genotype_rejects_malformed_probs():
     tpl = build_cell_template(2, "norm")
-    dists = [np.full(8, 0.5) for _ in range(tpl.num_edges)]
-    with pytest.raises(ValueError):
-        derive_genotype(tpl, dists, 2)
+    uniform = [np.full(8, 0.125) for _ in range(tpl.num_edges)]
+    nan_row = np.full(8, 0.125)
+    nan_row[3] = np.nan
+    negative_row = np.full(8, 0.25)
+    negative_row[:2] = -0.25
+    malformed = [
+        [np.full(8, 0.5) for _ in range(tpl.num_edges)],  # rows sum to 4
+        uniform[:-1] + [nan_row],
+        uniform[:-1] + [negative_row],
+        uniform[:-1] + [np.full(4, 0.25)],  # ragged
+        uniform[:-1],  # one row short
+        np.full(8 * tpl.num_edges, 0.125),  # flat
+    ]
+    for dists in malformed:
+        with pytest.raises(ValueError):
+            derive_genotype(tpl, dists, 2)
 
 
 def test_derive_genotype_exclude_none():
