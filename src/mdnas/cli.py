@@ -21,9 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import SearchConfig, Searcher, build_evaluator, write_trace_csv
+from .engine import (
+    SearchConfig, Searcher, build_evaluator, write_checkpoint, write_trace_csv
+)
 from .evaluator import SurrogateCurveEvaluator
-from .ranking import mean_tau, read_scores_csv, tau_trace, write_tau_csv
+from .ranking import mean_tau, read_scores_csv, tau_trace, write_scores_csv, write_tau_csv
 
 log = logging.getLogger("mdnas")
 
@@ -88,12 +90,13 @@ def _load_config(path: str, seed_override: int | None = None):
     return SearchConfig.from_dict(doc), seeds
 
 
-def _run_one_search(config: SearchConfig, out_dir: Path) -> dict:
+def _run_one_search(config: SearchConfig, out_dir: Path, evaluator=None) -> dict:
+    """Run one seed into `out_dir`.  `evaluator`, if given, is the batch's
+    shared evaluator; the search gets a replica of it."""
     started = datetime.now(timezone.utc).isoformat()
-    searcher = Searcher(config)
+    searcher = Searcher(config, None if evaluator is None else evaluator.replica())
     out_dir.mkdir(parents=True, exist_ok=True)
     result = searcher.run()
-    snapshot = searcher.checkpoint()
 
     trace_path = out_dir / "trace.csv"
     _atomic_write(
@@ -106,7 +109,7 @@ def _run_one_search(config: SearchConfig, out_dir: Path) -> dict:
     red_json = result.genotype_reduction.to_json()
     _atomic_write(out_dir / "genotype_norm.json", norm_json)
     _atomic_write(out_dir / "genotype_reduction.json", red_json)
-    _atomic_write(out_dir / "checkpoint.json", json.dumps(snapshot))
+    _atomic_write(out_dir / "checkpoint.json", lambda tmp: write_checkpoint(tmp, searcher))
 
     manifest = {
         "config": config.to_dict(),
@@ -126,9 +129,35 @@ def _run_one_search(config: SearchConfig, out_dir: Path) -> dict:
     return manifest
 
 
-def _seed_job(args):
+# The batch's shared evaluator in a pool worker, set once by _init_worker.
+# The parent process never sets it.
+_worker_evaluator = None
+
+
+def _init_worker(evaluator) -> None:
+    global _worker_evaluator
+    _worker_evaluator = evaluator
+
+
+def _seed_job(args, evaluator=None):
+    """One seed of a batch.  In a pool worker the shared evaluator comes
+    from _init_worker."""
     config, out_dir = args
-    return _run_one_search(config, Path(out_dir))
+    if evaluator is None:
+        evaluator = _worker_evaluator
+    return _run_one_search(config, Path(out_dir), evaluator)
+
+
+def _batch_evaluator(config: SearchConfig):
+    """The evaluator every seed of a batch reads, built and calibrated once;
+    None when the spec leaves the evaluator seed to each run's seed, so that
+    no two seeds read the same evaluator."""
+    if "seed" not in config.evaluator:
+        return None
+    evaluator = build_evaluator(config)
+    if isinstance(evaluator, SurrogateCurveEvaluator):
+        evaluator.calibrate()
+    return evaluator
 
 
 def cmd_search(args) -> int:
@@ -139,14 +168,19 @@ def cmd_search(args) -> int:
         _run_one_search(config, Path(args.out))
         return EXIT_OK
     # multi-seed batch: one subdirectory per seed
+    evaluator = _batch_evaluator(config)
     base = Path(args.out)
     jobs = [(replace(config, seed=s), str(base / f"seed_{s}")) for s in seeds]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # A forked worker inherits the evaluator; a spawned one unpickles it
+        # once, never once per seed.
+        with ProcessPoolExecutor(
+            max_workers=args.jobs, initializer=_init_worker, initargs=(evaluator,)
+        ) as pool:
             list(pool.map(_seed_job, jobs))
     else:
         for job in jobs:
-            _seed_job(job)
+            _seed_job(job, evaluator)
     return EXIT_OK
 
 
@@ -165,17 +199,7 @@ def cmd_simulate(args) -> int:
     arch_ids = [f"a{arch_id:04d}" for arch_id in range(len(cohort))]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-
-    def write(tmp):
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "arch_id", "accuracy"])
-            for epoch, row in enumerate(scores.tolist(), start=1):
-                writer.writerows(
-                    [epoch, arch_id, f"{acc:.10f}"] for arch_id, acc in zip(arch_ids, row)
-                )
-
-    _atomic_write(out, write)
+    _atomic_write(out, lambda tmp: write_scores_csv(tmp, scores, arch_ids))
     return EXIT_OK
 
 

@@ -124,8 +124,12 @@ def build_evaluator(config: SearchConfig):
     seed = spec.get("seed", config.seed)
     num_edges = 2 * edge_count(config.num_intermediate)
     if "q" in spec:
+        try:
+            q = np.asarray(spec["q"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("evaluator.q must be a rectangular table of numbers") from exc
         oracle = TabularOracle(
-            np.asarray(spec["q"], dtype=float),
+            q,
             seed=seed,
             interaction_strength=spec.get("interaction_strength", 0.0),
         )
@@ -194,14 +198,20 @@ class Searcher:
     checkpoint round-trips bit-for-bit.
     """
 
-    def __init__(self, config: SearchConfig):
+    def __init__(self, config: SearchConfig, evaluator=None):
+        """`evaluator` stands in for the one config.evaluator names: a batch
+        builds that one once and hands each seed a replica of it."""
         self.config = config
         self.templates = tuple(
             build_cell_template(config.num_intermediate, kind) for kind in CELL_KINDS
         )
         self.edges_per_cell = self.templates[0].num_edges
         self.num_edges = 2 * self.edges_per_cell
-        self.evaluator = build_evaluator(config)
+        if evaluator is None:
+            evaluator = build_evaluator(config)
+        elif (evaluator.num_edges, evaluator.num_ops) != (self.num_edges, config.num_ops):
+            raise ValueError("evaluator does not match the search space")
+        self.evaluator = evaluator
         shape = (self.num_edges, config.num_ops)
         self.probs = np.full(shape, 1.0 / config.num_ops)
         self.counts = np.zeros(shape, dtype=np.int64)
@@ -255,7 +265,8 @@ class Searcher:
         norm, reduction = self.genotypes()
         return SearchResult(norm, reduction, tuple(self.trace))
 
-    def checkpoint(self) -> dict:
+    def _state(self) -> dict:
+        """The checkpoint without its trace."""
         return {
             "config": self.config.to_dict(),
             "config_hash": self.config.digest(),
@@ -267,8 +278,10 @@ class Searcher:
                 )
             ],
             "rng_states": [rng.bit_generator.state for rng in self.rngs],
-            "trace": [r.to_dict() for r in self.trace],
         }
+
+    def checkpoint(self) -> dict:
+        return {**self._state(), "trace": [r.to_dict() for r in self.trace]}
 
     @classmethod
     def from_checkpoint(cls, snapshot: dict) -> "Searcher":
@@ -301,6 +314,24 @@ class Searcher:
         return searcher
 
 
+def _row_texts(trace, format_row):
+    """Yield each record of `trace` with the text of its probability rows.
+    A row is formatted only where it differs from the same edge's row in the
+    previous record; otherwise that row's text is reused.  Equal rows of
+    floats print the same, except that 0.0 == -0.0: a row holding a zero is
+    always formatted.  A NaN equals no other NaN, so a row holding one is
+    formatted too.  The list yielded is updated in place for the next
+    record."""
+    prev_rows, texts = [], []
+    for record in trace:
+        if len(record.probs) != len(texts):
+            prev_rows, texts = [None] * len(record.probs), [None] * len(record.probs)
+        for e, row in enumerate(record.probs):
+            if row != prev_rows[e] or 0.0 in row:
+                prev_rows[e], texts[e] = row, format_row(row)
+        yield record, texts
+
+
 def write_trace_csv(path, trace, edges_per_cell: int, num_ops: int) -> None:
     """One row per (epoch, cell, edge): the sampled op, the shared accuracy,
     and the post-update probability vector.  No field ever needs quoting, so
@@ -308,12 +339,39 @@ def write_trace_csv(path, trace, edges_per_cell: int, num_ops: int) -> None:
     header = ["epoch", "accuracy", "cell_kind", "edge_index", "sampled_op"]
     header += [f"prob_{i}" for i in range(num_ops)]
     edge_prefixes = [f"{kind},{i}," for kind in CELL_KINDS for i in range(edges_per_cell)]
-    row_format = "%s%s%d," + ",".join(["%.10f"] * num_ops) + "\r\n"
+    probs_format = ",".join(["%.10f"] * num_ops) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for record in trace:
+        for record, texts in _row_texts(trace, lambda row: probs_format % tuple(row)):
             head = "%d,%.10f," % (record.epoch, record.accuracy)
-            fh.writelines(
-                row_format % (head, prefix, op, *p)
-                for prefix, op, p in zip(edge_prefixes, record.arch, record.probs)
+            fh.write("".join([
+                "%s%s%d,%s" % (head, prefix, op, text)
+                for prefix, op, text in zip(edge_prefixes, record.arch, texts)
+            ]))
+
+
+def _json_row(row) -> str:
+    """json.dumps(list(row)), through float.__repr__ when every entry is a
+    finite float (json writes those with it too)."""
+    try:
+        text = ", ".join(map(float.__repr__, row))
+    except TypeError:
+        return json.dumps(list(row))
+    # Only 'nan' and 'inf' hold an n; json spells them NaN and Infinity.
+    return json.dumps(list(row)) if "n" in text else f"[{text}]"
+
+
+def write_checkpoint(path, searcher: Searcher) -> None:
+    """Write json.dumps(searcher.checkpoint()) to `path`, streamed: the
+    state, then one trace record at a time, so the whole document is never
+    held as lists or as one string."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(searcher._state())[:-1] + ', "trace": [')
+        sep = ""
+        for record, texts in _row_texts(searcher.trace, _json_row):
+            head = json.dumps(
+                {"epoch": record.epoch, "arch": list(record.arch), "accuracy": record.accuracy}
             )
+            fh.write(f'{sep}{head[:-1]}, "probs": [{", ".join(texts)}]}}')
+            sep = ", "
+        fh.write("]}")

@@ -12,8 +12,10 @@ Two evaluators share one interface, ``evaluate(arch, epoch) -> accuracy``:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -209,6 +211,10 @@ class TabularOracle:
     def sample_arch(self, rng: np.random.Generator) -> ArchitectureSample:
         return tuple(rng.integers(self.num_ops, size=self.num_edges).tolist())
 
+    def replica(self) -> "TabularOracle":
+        """The oracle keeps no per-run state, so every seed can share it."""
+        return self
+
 
 def best_genotype(oracle: TabularOracle, template: CellTemplate, k: int) -> Genotype:
     """Ground-truth genotype from the oracle's first template.num_edges rows:
@@ -259,16 +265,36 @@ class SurrogateCurveEvaluator:
         self.consistency_final = consistency_final
         self.ramp_epochs = ramp_epochs
         self.seed = seed
+        self.calibration_pairs = calibration_pairs
         self._sigma_cache: dict[float, float] = {}
 
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA11]))
+    @cached_property
+    def _gaps(self) -> np.ndarray:
+        """|true_score(a) - true_score(b)| over `calibration_pairs` random
+        pairs, tied pairs dropped: the sample the noise scale is solved on.
+        Drawn at the first sigma solve, so building an evaluator that never
+        evaluates (derive's) costs no true_score call."""
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xCA11]))
         gaps = []
-        for _ in range(calibration_pairs):
-            a = oracle.true_score(oracle.sample_arch(rng))
-            b = oracle.true_score(oracle.sample_arch(rng))
+        for _ in range(self.calibration_pairs):
+            a = self.oracle.true_score(self.oracle.sample_arch(rng))
+            b = self.oracle.true_score(self.oracle.sample_arch(rng))
             if a != b:
                 gaps.append(abs(a - b))
-        self._gaps = np.asarray(gaps)
+        return np.asarray(gaps)
+
+    def calibrate(self) -> np.ndarray:
+        """Draw the calibration sample now instead of at the first sigma
+        solve, and return it."""
+        return self._gaps
+
+    def replica(self) -> "SurrogateCurveEvaluator":
+        """A new evaluator over the same oracle and the same calibration
+        sample, with its own sigma cache.  Calibrate first to share the
+        sample: each seed of a batch gets a replica of one evaluator."""
+        twin = copy.copy(self)
+        twin._sigma_cache = {}
+        return twin
 
     @property
     def num_edges(self) -> int:
@@ -301,6 +327,7 @@ class SurrogateCurveEvaluator:
         key = round(rho, 9)
         if key in self._sigma_cache:
             return self._sigma_cache[key]
+        # The noiseless case needs no calibration sample.
         if rho >= 1.0 - 1e-12 or len(self._gaps) == 0:
             sigma = 0.0
         else:

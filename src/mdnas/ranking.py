@@ -178,6 +178,19 @@ def read_scores_csv(path) -> np.ndarray:
     return matrix
 
 
+def write_scores_csv(path, scores: np.ndarray, arch_ids: Sequence[str]) -> None:
+    """Emit (epoch, arch_id, accuracy) rows, epochs numbered from 1, for an
+    (epochs x archs) score matrix.  `arch_ids` hold no comma, quote or line
+    break, so no field ever needs quoting: each row is one format call, ended
+    by CRLF as csv.writer ends its rows."""
+    tails = [f"{arch_id}," for arch_id in arch_ids]
+    with open(path, "w", newline="") as fh:
+        fh.write("epoch,arch_id,accuracy\r\n")
+        for epoch, row in enumerate(scores.tolist(), start=1):
+            row_format = f"{epoch},%s%.10f\r\n"
+            fh.write("".join(map(row_format.__mod__, zip(tails, row))))
+
+
 def write_tau_csv(path, taus: Sequence[float]) -> None:
     """Emit (epoch, tau, p_tau) rows followed by a mean_tau summary line."""
     with open(path, "w", newline="") as fh:

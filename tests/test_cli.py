@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import stat
@@ -10,6 +11,8 @@ import pytest
 
 import mdnas
 from mdnas.cli import main
+from mdnas.engine import Searcher
+from mdnas.evaluator import SurrogateCurveEvaluator, TabularOracle
 
 OUTPUT_FILES = (
     "trace.csv",
@@ -126,6 +129,71 @@ def test_search_multi_seed_parallel_matches_serial(tmp_path):
         ).read_bytes()
 
 
+SURROGATE = {"type": "surrogate", "seed": 1, "consistency": 0.8, "interaction_strength": 0.1}
+SEARCH_FILES = ("trace.csv", "genotype_norm.json", "genotype_reduction.json", "checkpoint.json")
+
+
+def _log_calls(monkeypatch, log, owner, name, line=None):
+    """Count calls of owner.name in `log`, one line per call (`name`, or
+    line(*args)).  Pool workers forked from this process (the default start
+    method on Linux up to Python 3.13) inherit the patch and append to the
+    same file."""
+    original = getattr(owner, name)
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write((name if line is None else line(*args)) + "\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, logged)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_builds_one_evaluator_and_matches_single_seed_runs(tmp_path, monkeypatch, jobs):
+    """One oracle build and one calibration per batch command, a distinct
+    evaluator per seed, and each seed's files equal to its own run's."""
+    seeds, epochs = [0, 3, 5], 6
+    single = tmp_path / "single.json"
+    write_config(single, epochs=epochs, evaluator=SURROGATE)
+    for s in seeds:
+        out = tmp_path / f"single_{s}"
+        assert main(["search", "--config", str(single), "--out", str(out), "--seed", str(s)]) == 0
+
+    log = tmp_path / "calls.log"
+    kept = []  # keeps every evaluator alive, so no id is reused
+
+    def evaluator_line(searcher):
+        kept.append(searcher.evaluator)
+        return f"evaluator {os.getpid()} {id(searcher.evaluator)}"
+
+    _log_calls(monkeypatch, log, TabularOracle, "__init__")
+    _log_calls(monkeypatch, log, TabularOracle, "true_score")
+    _log_calls(monkeypatch, log, Searcher, "run", evaluator_line)
+    batch = tmp_path / "batch.json"
+    write_config(batch, epochs=epochs, evaluator=SURROGATE, seeds=seeds)
+    out = tmp_path / "batch"
+    assert main(["search", "--config", str(batch), "--out", str(out), "--jobs", jobs]) == 0
+
+    lines = log.read_text().splitlines()
+    pairs = inspect.signature(SurrogateCurveEvaluator).parameters["calibration_pairs"].default
+    assert lines.count("__init__") == 1
+    # one calibration (two true scores per pair) plus one evaluation per epoch
+    assert lines.count("true_score") == 2 * pairs + len(seeds) * epochs
+    evaluators = [line for line in lines if line.startswith("evaluator ")]
+    assert len(evaluators) == len(set(evaluators)) == len(seeds)
+    for s in seeds:
+        for name in SEARCH_FILES:
+            assert (out / f"seed_{s}" / name).read_bytes() == (
+                tmp_path / f"single_{s}" / name
+            ).read_bytes(), (s, name)
+
+    log.unlink()
+    derived = tmp_path / "genotypes.json"
+    checkpoint = out / "seed_3" / "checkpoint.json"
+    assert main(["derive", "--checkpoint", str(checkpoint), "--out", str(derived)]) == 0
+    assert "true_score" not in log.read_text().splitlines()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_search_rejects_jobs_below_one_before_any_output(tmp_path, capsys, jobs):
     cfg = tmp_path / "config.json"
@@ -240,6 +308,10 @@ BAD_VALUES = {
     "spec-argmax_margin-1.5": {
         "evaluator": {"type": "tabular", "seed": 1, "argmax_margin": 1.5}
     },
+    "spec-q-ragged": {"evaluator": {"type": "tabular", "q": [[0.5] * 4] * 9 + [[0.5] * 3]}},
+    "spec-q-string": {
+        "evaluator": {"type": "tabular", "q": [[0.5] * 4] * 9 + [[0.5, 0.5, 0.5, "a"]]}
+    },
 }
 
 
@@ -261,6 +333,15 @@ def test_bad_evaluator_value_error_names_the_key(tmp_path, capsys, case):
     assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0], lines
+
+
+@pytest.mark.parametrize("case", ["spec-q-ragged", "spec-q-string"])
+def test_inline_q_error_names_the_key(tmp_path, capsys, case):
+    cfg = tmp_path / "config.json"
+    write_config(cfg, **BAD_VALUES[case])
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "evaluator.q" in lines[0], lines
 
 
 def test_simulate_rejects_nonpositive_tau_c(tmp_path):

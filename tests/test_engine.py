@@ -3,13 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mdnas.distribution import PROB_FLOOR
+from mdnas.distribution import AGGREGATIONS, PROB_FLOOR
 from mdnas.engine import (
     EpochRecord,
     SearchConfig,
     Searcher,
     build_evaluator,
+    write_checkpoint,
     write_trace_csv,
 )
 
@@ -243,11 +245,38 @@ def _reference_write_trace_csv(path, trace, edges_per_cell, num_ops):
                 )
 
 
+def _repeated_row_records(trace, num_ops, rng):
+    """Records after `trace` whose rows repeat earlier ones: every row again
+    (as equal copies, then as the same objects), rows moved to the next
+    edge, and zeros whose sign flips between epochs."""
+    last = trace[-1]
+    n = len(last.probs)
+    zero_row = (0.0,) + (1.0,) * (num_ops - 1)
+    neg_zero_row = (-0.0,) + (1.0,) * (num_ops - 1)
+    rows = [
+        tuple(tuple(list(p)) for p in last.probs),
+        last.probs,
+        last.probs[1:] + last.probs[:1],
+        (zero_row,) * n,
+        (neg_zero_row,) * n,
+        (zero_row, neg_zero_row) * (n // 2),
+        (neg_zero_row, zero_row) * (n // 2),
+        ((-1e-12,) * num_ops,) * n,
+        ((-1e-12,) * num_ops,) * n,
+    ]
+    records = []
+    for probs in rows:
+        arch = tuple(rng.integers(num_ops, size=n).tolist())
+        records.append(EpochRecord(last.epoch + len(records) + 1, arch, 0.5, probs))
+    return records
+
+
 @pytest.mark.parametrize("num_ops", [1, 8])
 @pytest.mark.parametrize("num_intermediate", [1, 2, 3])
 def test_write_trace_csv_matches_csv_writer_bytes(tmp_path, num_intermediate, num_ops):
-    """Synthetic records (accuracies 0 and 1, probabilities at the floor)
-    plus a real run that went through a JSON checkpoint."""
+    """Synthetic records (accuracies 0 and 1, probabilities at the floor,
+    rows that repeat and zeros that change sign) plus a real run that went
+    through a JSON checkpoint."""
     cfg = small_config(num_intermediate=num_intermediate, num_ops=num_ops, epochs=4)
     part = Searcher(cfg)
     part.run()
@@ -258,10 +287,107 @@ def test_write_trace_csv_matches_csv_writer_bytes(tmp_path, num_intermediate, nu
         probs[rng.random(probs.shape) < 0.4] = PROB_FLOOR
         arch = rng.integers(num_ops, size=part.num_edges).tolist()
         trace.append(EpochRecord(epoch, tuple(arch), accuracy, tuple(map(tuple, probs.tolist()))))
+    trace += _repeated_row_records(trace, num_ops, rng)
     got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
     write_trace_csv(got, trace, part.edges_per_cell, num_ops)
     _reference_write_trace_csv(expected, trace, part.edges_per_cell, num_ops)
     assert got.read_bytes() == expected.read_bytes()
+
+
+def _checkpoint_bytes(tmp_dir, searcher):
+    path = tmp_dir / "checkpoint.json"
+    write_checkpoint(path, searcher)
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_intermediate=st.integers(1, 3),
+    num_ops=st.sampled_from([1, 2, 8]),
+    aggregation=st.sampled_from(AGGREGATIONS),
+    early_stop=st.booleans(),
+    epochs=st.integers(1, 12),
+    steps_before_resume=st.integers(0, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_write_checkpoint_matches_json_dumps(
+    tmp_path_factory,
+    num_intermediate,
+    num_ops,
+    aggregation,
+    early_stop,
+    epochs,
+    steps_before_resume,
+    seed,
+):
+    """Zero epochs, a partial run, its JSON round trip, and the resumed run
+    to the end, early stop included."""
+    cfg = small_config(
+        num_intermediate=num_intermediate,
+        num_ops=num_ops,
+        epochs=epochs,
+        seed=seed,
+        acc_aggregation=aggregation,
+        early_stop=early_stop,
+        convergence_threshold=0.3,
+    )
+    tmp_dir = tmp_path_factory.mktemp("checkpoint")
+    searcher = Searcher(cfg)
+    assert _checkpoint_bytes(tmp_dir, searcher) == json.dumps(searcher.checkpoint()).encode()
+    for _ in range(min(steps_before_resume, epochs)):
+        searcher.step()
+    assert _checkpoint_bytes(tmp_dir, searcher) == json.dumps(searcher.checkpoint()).encode()
+    searcher = Searcher.from_checkpoint(json.loads(json.dumps(searcher.checkpoint())))
+    searcher.run()
+    assert _checkpoint_bytes(tmp_dir, searcher) == json.dumps(searcher.checkpoint()).encode()
+
+
+# Entries that repeat often, signed zeros, subnormals and a value whose
+# shortest repr runs to 17 digits.
+_ENTRIES = [0.0, -0.0, 5e-324, 2.5e-310, PROB_FLOOR, 1 / 3, 0.5, 1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    num_edges=st.integers(1, 4),
+    num_ops=st.sampled_from([1, 2, 3]),
+)
+def test_write_checkpoint_reuses_only_identical_row_text(tmp_path_factory, data, num_edges, num_ops):
+    """Synthetic records drawn from a few rows and their copies with every
+    zero's sign flipped, so that a row often equals the same edge's row one
+    epoch earlier, another edge's row, or that row with signed zeros."""
+    row = st.tuples(*[st.sampled_from(_ENTRIES)] * num_ops)
+    pool = data.draw(st.lists(row, min_size=1, max_size=3))
+    rows = st.sampled_from(pool + [tuple(-x if x == 0 else x for x in r) for r in pool])
+    records = data.draw(st.lists(st.tuples(*[rows] * num_edges), max_size=8))
+    searcher = Searcher(small_config(num_intermediate=1, num_ops=num_ops))
+    searcher.trace = [
+        EpochRecord(epoch, (0,) * num_edges, 0.5, probs)
+        for epoch, probs in enumerate(records, start=1)
+    ]
+    tmp_dir = tmp_path_factory.mktemp("checkpoint")
+    assert _checkpoint_bytes(tmp_dir, searcher) == json.dumps(searcher.checkpoint()).encode()
+
+
+def test_write_checkpoint_signed_zero_and_moved_rows(tmp_path):
+    """The cases a row-reusing writer gets wrong, spelled out: a zero that
+    changes sign at the same edge, rows that move to the other edge, and
+    non-finite entries, which json spells NaN and Infinity."""
+    a, b = (0.0, 1.0), (0.25, 0.75)
+    probs = [
+        (a, b),
+        ((-0.0, 1.0), b),
+        (b, a),
+        (b, a),
+        ((float("nan"), 1.0), (float("inf"), float("-inf"))),
+        ((float("nan"), 1.0), (float("inf"), float("-inf"))),
+    ]
+    searcher = Searcher(small_config(num_intermediate=1, num_ops=2))
+    searcher.trace = [
+        EpochRecord(epoch, (0, 1), 0.5, p) for epoch, p in enumerate(probs, start=1)
+    ]
+    assert _checkpoint_bytes(tmp_path, searcher) == json.dumps(searcher.checkpoint()).encode()
 
 
 def test_epoch_record_round_trip():

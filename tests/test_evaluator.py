@@ -270,6 +270,30 @@ def test_sigma_solve_all_ties_has_no_gaps():
     assert ev._sigma_for(0.7) == _reference_sigma(ev._gaps, 0.7) == 0.0
 
 
+def test_calibration_waits_for_the_first_sigma_solve(monkeypatch):
+    """Building an evaluator scores nothing; the first noisy evaluation draws
+    the calibration sample, and replicas share it with their own sigma
+    caches.  A noiseless evaluator never draws it."""
+    oracle = TabularOracle.random(6, 4, seed=3)
+    calls = []
+    true_score = TabularOracle.true_score
+    monkeypatch.setattr(
+        TabularOracle, "true_score", lambda self, arch: calls.append(1) or true_score(self, arch)
+    )
+    ev = SurrogateCurveEvaluator(oracle, consistency=0.8, seed=3, calibration_pairs=32)
+    noiseless = SurrogateCurveEvaluator(oracle, consistency=1.0, seed=3, calibration_pairs=32)
+    assert calls == []
+    noiseless.evaluate((0,) * 6, 1)
+    assert len(calls) == 1
+    ev.evaluate((0,) * 6, 1)
+    assert len(calls) == 1 + 64 + 1
+    twin = ev.replica()
+    assert twin.oracle is oracle and twin._gaps is ev._gaps
+    assert twin._sigma_cache == {} and ev._sigma_cache
+    assert twin.evaluate((1,) * 6, 2) == ev.evaluate((1,) * 6, 2)
+    assert len(calls) == 1 + 64 + 1 + 2
+
+
 def _reference_evaluate(ev, arch, epoch):
     """One (arch, epoch) score: true score plus seeded noise, then the curve."""
     s = ev.oracle.true_score(arch)

@@ -10,6 +10,7 @@ from mdnas.ranking import (
     mean_tau,
     read_scores_csv,
     tau_trace,
+    write_scores_csv,
     write_tau_csv,
 )
 
@@ -267,3 +268,28 @@ def test_read_scores_csv_rejects_bad_rows(tmp_path, body, message):
     path.write_text("epoch,arch_id,accuracy\n" + body)
     with pytest.raises(ValueError, match=message):
         read_scores_csv(path)
+
+
+def _reference_write_scores_csv(path, scores, arch_ids):
+    """The csv.writer scores writer that write_scores_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "arch_id", "accuracy"])
+        for epoch, row in enumerate(scores.tolist(), start=1):
+            writer.writerows(
+                [epoch, arch_id, f"{acc:.10f}"] for arch_id, acc in zip(arch_ids, row)
+            )
+
+
+@pytest.mark.parametrize("cohort", [2, 1000])
+def test_write_scores_csv_matches_csv_writer_bytes(tmp_path, cohort):
+    rng = np.random.default_rng(cohort)
+    scores = rng.uniform(size=(6, cohort))
+    edge_values = [0.0, 1.0, 1 / 3, 1e-12]
+    scores[:4, :2] = np.array(edge_values)[:, None]
+    scores[4] = rng.choice(edge_values, size=cohort)
+    arch_ids = [f"a{arch_id:04d}" for arch_id in range(cohort)]
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    write_scores_csv(got, scores, arch_ids)
+    _reference_write_scores_csv(expected, scores, arch_ids)
+    assert got.read_bytes() == expected.read_bytes()
