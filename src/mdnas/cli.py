@@ -194,7 +194,7 @@ def cmd_simulate(args) -> int:
     if not isinstance(evaluator, SurrogateCurveEvaluator):
         raise ConfigError("simulate requires a surrogate evaluator")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xC0,)))
-    cohort = [evaluator.sample_arch(rng) for _ in range(args.cohort)]
+    cohort = evaluator.oracle.sample_archs(rng, args.cohort)
     scores = evaluator.evaluate_many(cohort, range(1, config.epochs + 1))
     arch_ids = [f"a{arch_id:04d}" for arch_id in range(len(cohort))]
     out = Path(args.out)

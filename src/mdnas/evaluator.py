@@ -36,6 +36,20 @@ _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 # Below this many entries numpy's own per-entry construction is cheaper than
 # the array hash's fixed cost.
 _BATCH_SEEDING_MIN = 16
+# true_scores gathers at most this many table entries per block of rows, so
+# its temporaries stay small whatever the number of rows (128 KB each: at
+# 2**16 entries, calibrating the N=8 interaction oracle raised peak RSS by
+# 1.9 MB).
+_GATHER_ITEMS = 1 << 14
+# The noise-scale bisection's bracket.
+_SIGMA_LO, _SIGMA_HI = 1e-9, 1e3
+# A computed agreement lies within ~2e-15 of the exact mean of Phi (erf to
+# 1 ulp, three roundings in z, a pairwise sum), and the exact mean falls
+# strictly as sigma rises.  So where one computed agreement exceeds rho by
+# this margin, so does every computed agreement at a smaller sigma, and
+# likewise below rho - margin at every larger sigma.
+_WINDOW_MARGIN = 1e-13
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _arch_key(arch: Sequence[int]) -> int:
@@ -150,6 +164,9 @@ class TabularOracle:
             self._pair_base = (i * e + j) * (m * m)
         else:
             self._w = None
+        # Rows per gather in true_scores.
+        width = e if self._w is None else len(self._pair_base)
+        self._block_rows = max(1, _GATHER_ITEMS // max(width, 1))
 
     @property
     def num_edges(self) -> int:
@@ -182,19 +199,19 @@ class TabularOracle:
                 q[e, best] = q[e, others].max() + argmax_margin
         return cls(q, seed=seed, **kwargs)
 
-    def _check(self, arch: Sequence[int]) -> np.ndarray:
-        arch = np.asarray(arch, dtype=np.int64)
-        if arch.shape != (self.num_edges,):
+    def _check(self, archs, shape: tuple[int, ...]) -> np.ndarray:
+        archs = np.asarray(archs, dtype=np.int64)
+        if archs.shape != shape:
             raise ValueError(
-                f"architecture has {arch.shape} edges, oracle expects {self.num_edges}"
+                f"architectures have shape {archs.shape}, oracle expects {shape}"
             )
         # The flat gathers would read a neighbouring row for an id out of range.
-        if arch.min() < 0 or arch.max() >= self.num_ops:
+        if archs.min() < 0 or archs.max() >= self.num_ops:
             raise ValueError(f"op ids must lie in [0, {self.num_ops})")
-        return arch
+        return archs
 
     def true_score(self, arch: Sequence[int]) -> float:
-        arch = self._check(arch)
+        arch = self._check(arch, (self.num_edges,))
         score = float(self.q.ravel()[self._row_base + arch].mean())
         if self._w is not None:
             # Edge pairs i < j in row-major order, gathered directly.
@@ -203,6 +220,30 @@ class TabularOracle:
             score += self.interaction_strength * float(inter.mean())
         return min(max(score, 0.0), 1.0)
 
+    def true_scores(self, archs: Sequence[Sequence[int]]) -> np.ndarray:
+        """true_score of every row of `archs`, bit for bit, gathered a block
+        of rows at a time.  Each gather is C-contiguous, so every row mean
+        sums in the order of true_score's 1-D mean."""
+        if not len(archs):
+            return np.empty(0)
+        archs = self._check(archs, (len(archs), self.num_edges))
+        out = np.empty(len(archs))
+        for start in range(0, len(archs), self._block_rows):
+            block = archs[start : start + self._block_rows]
+            scores = self.q.ravel()[self._row_base + block].mean(axis=1)
+            if self._w is not None:
+                i, j = self._pairs
+                # take, not block[:, i]: fancy-indexing columns gives an
+                # F-ordered array, whose row means sum in another order.
+                pair = block.take(i, axis=1)
+                pair *= self.num_ops
+                pair += block.take(j, axis=1)
+                pair += self._pair_base
+                inter = self._w.ravel().take(pair)
+                scores += self.interaction_strength * inter.mean(axis=1)
+            out[start : start + len(block)] = scores
+        return np.clip(out, 0.0, 1.0, out=out)
+
     def evaluate(self, arch: Sequence[int], epoch: int) -> float:
         if epoch < 1:
             raise ValueError("epoch must be >= 1")
@@ -210,6 +251,11 @@ class TabularOracle:
 
     def sample_arch(self, rng: np.random.Generator) -> ArchitectureSample:
         return tuple(rng.integers(self.num_ops, size=self.num_edges).tolist())
+
+    def sample_archs(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n architectures as an (n, num_edges) array: the draws, and the
+        generator state after them, of n sample_arch calls."""
+        return rng.integers(self.num_ops, size=(n, self.num_edges))
 
     def replica(self) -> "TabularOracle":
         """The oracle keeps no per-run state, so every seed can share it."""
@@ -273,15 +319,16 @@ class SurrogateCurveEvaluator:
         """|true_score(a) - true_score(b)| over `calibration_pairs` random
         pairs, tied pairs dropped: the sample the noise scale is solved on.
         Drawn at the first sigma solve, so building an evaluator that never
-        evaluates (derive's) costs no true_score call."""
+        evaluates (derive's) scores nothing.  The architectures a, b, a, b,
+        ... are drawn and scored a gather block at a time."""
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xCA11]))
-        gaps = []
-        for _ in range(self.calibration_pairs):
-            a = self.oracle.true_score(self.oracle.sample_arch(rng))
-            b = self.oracle.true_score(self.oracle.sample_arch(rng))
-            if a != b:
-                gaps.append(abs(a - b))
-        return np.asarray(gaps)
+        scores = np.empty(2 * self.calibration_pairs)
+        rows = self.oracle._block_rows
+        for start in range(0, len(scores), rows):
+            block = self.oracle.sample_archs(rng, min(rows, len(scores) - start))
+            scores[start : start + len(block)] = self.oracle.true_scores(block)
+        a, b = scores[0::2], scores[1::2]
+        return np.abs(a - b)[a != b]
 
     def calibrate(self) -> np.ndarray:
         """Draw the calibration sample now instead of at the first sigma
@@ -317,29 +364,104 @@ class SurrogateCurveEvaluator:
         erf = np.fromiter(map(math.erf, z.tolist()), dtype=float, count=len(z))
         return float(np.mean(0.5 * (1.0 + erf)))
 
+    def _window(self, rho: float) -> tuple[float, float]:
+        """Scales (a, b) whose computed agreements clear rho by
+        _WINDOW_MARGIN, above it at a and below it at b; 0 or inf for an
+        end not found.
+
+        Every agreement computed here is a candidate end, so the search
+        only decides how tight the window gets, and how fast.  It runs a
+        safeguarded Newton iteration in t = 1/sigma on ln(1 - agreement) =
+        ln(1 - rho), which is close to linear in t both where the agreement
+        nears 1/2 and where it nears 1.  The agreement's slope in ln(t) is
+        mean(phi(x) * x) at x = gap * t / sqrt(2).  Then it probes each side
+        of the root it found, widening a probe until it clears the margin."""
+        a, b = 0.0, math.inf
+
+        def probe(sigma: float) -> float:
+            nonlocal a, b
+            agreement = self._agreement(sigma)
+            if agreement - rho > _WINDOW_MARGIN:
+                a = max(a, sigma)
+            elif agreement - rho < -_WINDOW_MARGIN:
+                b = min(b, sigma)
+            return agreement
+
+        # The t at which the agreement was at most rho / above it; 0 and
+        # inf are the bracket's ends, not computed yet.
+        fewer, more = 0.0, math.inf
+        t = 1.0 / float(self._gaps.mean())
+        for _ in range(64):
+            sigma = min(max(1.0 / t, _SIGMA_LO), _SIGMA_HI)
+            t = 1.0 / sigma
+            agreement = probe(sigma)
+            if agreement > rho:
+                if sigma == _SIGMA_HI:
+                    return a, b
+                more = t
+            else:
+                if sigma == _SIGMA_LO:
+                    return a, b
+                fewer = t
+            x = self._gaps * (t / math.sqrt(2.0))
+            slope = float(np.mean(np.exp(-0.5 * x * x) * x)) / _SQRT_2PI
+            if slope > 0 and agreement < 1.0:
+                width = 1.25 * _WINDOW_MARGIN / slope
+                step = t * (math.log1p(-agreement) - math.log1p(-rho)) * (1.0 - agreement) / slope
+                # Close enough that the probes below bracket the root.
+                if abs(step) < 1e-8 * t or abs(agreement - rho) < _WINDOW_MARGIN:
+                    break
+            else:
+                step = -0.5 * t if agreement > rho else t
+            t += step
+            if not fewer < t < more:
+                if fewer == 0.0:
+                    t = 1.0 / _SIGMA_HI
+                elif more == math.inf:
+                    t = 1.0 / _SIGMA_LO
+                else:
+                    t = math.sqrt(fewer * more)
+        else:
+            return a, b
+        root = -math.log(max(t + step, 0.5 * t))  # ln(sigma) at the root
+        for side in (-1.0, 1.0):
+            offset = width
+            for _ in range(64):
+                sigma = min(max(math.exp(root + side * offset), _SIGMA_LO), _SIGMA_HI)
+                if (sigma <= a) if side < 0 else (sigma >= b):
+                    break
+                probe(sigma)
+                if sigma in (_SIGMA_LO, _SIGMA_HI):
+                    break
+                offset *= 4.0
+        return a, b
+
     def _sigma_for(self, rho: float) -> float:
         """Solve agreement(sigma) = rho by geometric bisection.
 
         The search stops at the first step that leaves (lo, hi) unchanged:
         every later step would repeat it, so the result equals that of the
-        full 200 steps."""
+        full 200 steps.  A step computes the agreement only inside the
+        window (a, b) of _window: at or below a it exceeds rho, at or
+        above b it falls short, as it would if computed."""
         rho = min(max(rho, 0.5), 1.0)
-        key = round(rho, 9)
-        if key in self._sigma_cache:
-            return self._sigma_cache[key]
+        if rho in self._sigma_cache:
+            return self._sigma_cache[rho]
         # The noiseless case needs no calibration sample.
         if rho >= 1.0 - 1e-12 or len(self._gaps) == 0:
             sigma = 0.0
         else:
-            lo, hi = 1e-9, 1e3
+            a, b = self._window(rho)
+            lo, hi = _SIGMA_LO, _SIGMA_HI
             for _ in range(200):
                 mid = math.sqrt(lo * hi)
-                step = (mid, hi) if self._agreement(mid) > rho else (lo, mid)
+                higher = mid <= a or (mid < b and self._agreement(mid) > rho)
+                step = (mid, hi) if higher else (lo, mid)
                 if step == (lo, hi):
                     break
                 lo, hi = step
             sigma = math.sqrt(lo * hi)
-        self._sigma_cache[key] = sigma
+        self._sigma_cache[rho] = sigma
         return sigma
 
     def consistency_at(self, epoch: int) -> float:
@@ -358,7 +480,12 @@ class SurrogateCurveEvaluator:
         epochs = list(epochs)
         if any(epoch < 1 for epoch in epochs):
             raise ValueError("epoch must be >= 1")
-        scores = np.array([self.oracle.true_score(arch) for arch in archs])
+        # One arch (the search's call each epoch) is cheaper through
+        # true_score; both give the same bits.
+        if len(archs) == 1:
+            scores = np.array([self.oracle.true_score(archs[0])])
+        else:
+            scores = self.oracle.true_scores(archs)
         keys = [_arch_key(arch) for arch in archs]
         out = np.empty((len(epochs), len(archs)))
         for row, epoch in zip(out, epochs):

@@ -91,12 +91,6 @@ class Genotype:
             {"kind": self.kind, "nodes": [[list(p) for p in node] for node in self.nodes]}
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "Genotype":
-        doc = json.loads(text)
-        nodes = tuple(tuple((src, op) for src, op in node) for node in doc["nodes"])
-        return cls(doc["kind"], nodes)
-
 
 def _check_probs(probs, num_edges: int) -> np.ndarray:
     """probs as a (num_edges, ops) array whose rows are non-negative and sum

@@ -168,6 +168,10 @@ def test_batch_builds_one_evaluator_and_matches_single_seed_runs(tmp_path, monke
 
     _log_calls(monkeypatch, log, TabularOracle, "__init__")
     _log_calls(monkeypatch, log, TabularOracle, "true_score")
+    _log_calls(
+        monkeypatch, log, TabularOracle, "true_scores",
+        lambda self, archs: f"true_scores {len(archs)}",
+    )
     _log_calls(monkeypatch, log, Searcher, "run", evaluator_line)
     batch = tmp_path / "batch.json"
     write_config(batch, epochs=epochs, evaluator=SURROGATE, seeds=seeds)
@@ -177,8 +181,11 @@ def test_batch_builds_one_evaluator_and_matches_single_seed_runs(tmp_path, monke
     lines = log.read_text().splitlines()
     pairs = inspect.signature(SurrogateCurveEvaluator).parameters["calibration_pairs"].default
     assert lines.count("__init__") == 1
-    # one calibration (two true scores per pair) plus one evaluation per epoch
-    assert lines.count("true_score") == 2 * pairs + len(seeds) * epochs
+    # one calibration, scored in blocks (two rows per pair) ...
+    blocks = [int(line.split()[1]) for line in lines if line.startswith("true_scores ")]
+    assert sum(blocks) == 2 * pairs
+    # ... plus one single-arch evaluation per epoch and seed
+    assert lines.count("true_score") == len(seeds) * epochs
     evaluators = [line for line in lines if line.startswith("evaluator ")]
     assert len(evaluators) == len(set(evaluators)) == len(seeds)
     for s in seeds:
@@ -191,7 +198,7 @@ def test_batch_builds_one_evaluator_and_matches_single_seed_runs(tmp_path, monke
     derived = tmp_path / "genotypes.json"
     checkpoint = out / "seed_3" / "checkpoint.json"
     assert main(["derive", "--checkpoint", str(checkpoint), "--out", str(derived)]) == 0
-    assert "true_score" not in log.read_text().splitlines()
+    assert not any(line.startswith("true_score") for line in log.read_text().splitlines())
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -154,6 +154,23 @@ def test_checkpoint_resume_matches_uninterrupted():
     assert np.array_equal(full.probs, resumed.probs)
 
 
+def test_resume_matches_uninterrupted_under_a_ramp_of_nearby_consistencies():
+    """Every epoch's consistency agrees with the others to 9 places; each
+    still gets its own sigma, so a run resumed at epoch 5 (whose first solve
+    is epoch 6's) matches the uninterrupted one."""
+    evaluator = {
+        "type": "surrogate", "seed": 7, "consistency": 0.8,
+        "consistency_final": 0.8 + 1e-10, "ramp_epochs": 10,
+    }
+    cfg = small_config(epochs=10, evaluator=evaluator)
+    full_result = Searcher(cfg).run()
+    part = Searcher(cfg)
+    for _ in range(5):
+        part.step()
+    resumed = Searcher.from_checkpoint(json.loads(json.dumps(part.checkpoint())))
+    assert resumed.run() == full_result
+
+
 def test_checkpoint_round_trip_idempotent():
     s = Searcher(small_config())
     for _ in range(5):

@@ -274,24 +274,29 @@ def test_calibration_waits_for_the_first_sigma_solve(monkeypatch):
     """Building an evaluator scores nothing; the first noisy evaluation draws
     the calibration sample, and replicas share it with their own sigma
     caches.  A noiseless evaluator never draws it."""
-    oracle = TabularOracle.random(6, 4, seed=3)
-    calls = []
-    true_score = TabularOracle.true_score
+    oracle = TabularOracle.random(6, 4, seed=3, interaction_strength=0.1)
+    oracle._block_rows = 5  # several calibration blocks, the last one short
+    singles, blocks = [], []
+    true_score, true_scores = TabularOracle.true_score, TabularOracle.true_scores
     monkeypatch.setattr(
-        TabularOracle, "true_score", lambda self, arch: calls.append(1) or true_score(self, arch)
+        TabularOracle, "true_score", lambda self, arch: singles.append(1) or true_score(self, arch)
+    )
+    monkeypatch.setattr(
+        TabularOracle, "true_scores",
+        lambda self, archs: blocks.append(len(archs)) or true_scores(self, archs),
     )
     ev = SurrogateCurveEvaluator(oracle, consistency=0.8, seed=3, calibration_pairs=32)
     noiseless = SurrogateCurveEvaluator(oracle, consistency=1.0, seed=3, calibration_pairs=32)
-    assert calls == []
+    assert singles == blocks == []
     noiseless.evaluate((0,) * 6, 1)
-    assert len(calls) == 1
+    assert (len(singles), blocks) == (1, [])
     ev.evaluate((0,) * 6, 1)
-    assert len(calls) == 1 + 64 + 1
+    assert (len(singles), blocks) == (2, [5] * 12 + [4])
     twin = ev.replica()
     assert twin.oracle is oracle and twin._gaps is ev._gaps
     assert twin._sigma_cache == {} and ev._sigma_cache
     assert twin.evaluate((1,) * 6, 2) == ev.evaluate((1,) * 6, 2)
-    assert len(calls) == 1 + 64 + 1 + 2
+    assert (len(singles), blocks) == (4, [5] * 12 + [4])
 
 
 def _reference_evaluate(ev, arch, epoch):
@@ -406,3 +411,119 @@ def test_interaction_true_score_matches_full_matrix_formula(num_edges):
         score += 0.3 * float(inter[np.triu_indices(num_edges, k=1)].mean())
         expected = float(np.clip(score, 0.0, 1.0))
         assert oracle.true_score(tuple(arch)).hex() == expected.hex()
+
+
+# -- the windowed sigma solve, block scoring and block draws ----------------
+
+# Margin each window end must clear: the bound the window rule rests on.
+MARGIN = 1e-13
+EDGE_RHOS = [0.5, 0.5 + 1e-15, 0.5 + 1e-12, 0.5001, 0.974, 0.999999, 1 - 1e-11, 1 - 2e-12]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_edges=st.sampled_from([4, 6, 10, 28, 56, 88, 176]),
+    num_ops=st.sampled_from([2, 3, 4, 8]),
+    strength=st.sampled_from([0.0, 0.05, 2.0]),
+    pairs=st.sampled_from([2, 3, 16, 128, 512]),
+    seed=st.integers(0, 2**16),
+    rhos=st.lists(
+        st.sampled_from(EDGE_RHOS) | st.floats(0.5, 1.0), min_size=1, max_size=3
+    ),
+)
+def test_windowed_sigma_solve_equals_full_bisection(
+    num_edges, num_ops, strength, pairs, seed, rhos
+):
+    if num_edges > 88 and strength:
+        num_ops = min(num_ops, 4)  # keeps the interaction table small
+    oracle = TabularOracle.random(num_edges, num_ops, seed=seed, interaction_strength=strength)
+    ev = SurrogateCurveEvaluator(oracle, seed=seed, calibration_pairs=pairs)
+    for rho in rhos:
+        assert ev._sigma_for(rho).hex() == _reference_sigma(ev._gaps, rho).hex(), rho
+
+
+@pytest.mark.parametrize("num_edges,strength", [(4, 0.0), (28, 0.0), (88, 0.05)])
+def test_window_ends_clear_rho_by_the_margin(num_edges, strength):
+    oracle = TabularOracle.random(num_edges, 8, seed=num_edges, interaction_strength=strength)
+    ev = SurrogateCurveEvaluator(oracle, seed=1, calibration_pairs=256)
+    for rho in [0.5001, 0.6, 0.8, 0.974, 0.999999, 1 - 2e-12]:
+        a, b = ev._window(rho)
+        assert 0 < a < b < math.inf, rho
+        assert ev._agreement(a) - rho > MARGIN, rho
+        assert ev._agreement(b) - rho < -MARGIN, rho
+    # No finite sigma in the bracket gets the agreement down to 1/2: the
+    # window's upper end is the bracket's top, where the bisection ends.
+    a, b = ev._window(0.5)
+    assert (a, b) == (1e3, math.inf) and ev._agreement(1e3) - 0.5 > MARGIN
+
+
+def test_ramp_solves_take_under_thirty_agreements_each(monkeypatch):
+    """The 0.5 -> 0.974 ramp of the rank-consistency reproduction, 50 epochs:
+    the full bisection computes about 58 agreements per solve."""
+    oracle = TabularOracle.random(28, 8, seed=3)
+    ev = SurrogateCurveEvaluator(
+        oracle, consistency=0.5, consistency_final=0.974, ramp_epochs=50, seed=5
+    )
+    ev.calibrate()
+    calls = []
+    agreement = SurrogateCurveEvaluator._agreement
+    monkeypatch.setattr(
+        SurrogateCurveEvaluator, "_agreement", lambda self, s: calls.append(s) or agreement(self, s)
+    )
+    rhos = [ev.consistency_at(epoch) for epoch in range(1, 51)]
+    sigmas = [ev._sigma_for(rho) for rho in rhos]
+    assert len(calls) <= 30 * len(rhos)
+    assert [s.hex() for s in sigmas] == [_reference_sigma(ev._gaps, r).hex() for r in rhos]
+
+
+def test_sigma_cache_is_keyed_by_the_exact_consistency():
+    """Two consistencies that agree to 9 places get their own sigma, so an
+    evaluation does not depend on which epochs were evaluated before it."""
+    oracle = TabularOracle.random(8, 4, seed=2)
+    kwargs = dict(consistency=0.8, consistency_final=0.8 + 1e-10, ramp_epochs=10, seed=4)
+    arch = (1,) * 8
+    cold = SurrogateCurveEvaluator(oracle, **kwargs).evaluate(arch, 10)
+    warm = SurrogateCurveEvaluator(oracle, **kwargs)
+    warm.evaluate(arch, 1)
+    assert warm.evaluate(arch, 10).hex() == cold.hex()
+    assert warm._sigma_for(0.8) != warm._sigma_for(0.8 + 1e-10)
+
+
+@pytest.mark.parametrize(
+    "num_edges,num_ops,strength", [(88, 8, 0.05), (176, 4, 0.3), (28, 8, 0.0), (10, 4, 6.0)]
+)
+def test_true_scores_equal_stacked_true_score(num_edges, num_ops, strength):
+    oracle = TabularOracle.random(num_edges, num_ops, seed=num_edges, interaction_strength=strength)
+    rng = np.random.default_rng(num_edges)
+    block = oracle._block_rows
+    for rows in sorted({1, block - 1, block, block + 1, 2 * block + 3, 1024}):
+        archs = rng.integers(num_ops, size=(max(rows, 1), num_edges))
+        stacked = np.array([oracle.true_score(arch) for arch in archs])
+        assert oracle.true_scores(archs).tobytes() == stacked.tobytes(), rows
+        as_tuples = [tuple(arch.tolist()) for arch in archs]
+        assert oracle.true_scores(as_tuples).tobytes() == stacked.tobytes(), rows
+    assert oracle.true_scores([]).shape == (0,)
+
+
+@pytest.mark.parametrize("op", [-1, 8, 2**40])
+def test_true_scores_reject_op_ids_out_of_range_in_any_block(op):
+    oracle = TabularOracle.random(88, 8, seed=2, interaction_strength=0.05)
+    archs = np.zeros((3 * oracle._block_rows, 88), dtype=np.int64)
+    archs[-1, 40] = op
+    with pytest.raises(ValueError, match="op ids"):
+        oracle.true_scores(archs)
+    with pytest.raises(ValueError):
+        oracle.true_scores(archs[:, :87])
+
+
+@pytest.mark.parametrize("num_ops", range(1, 12))
+def test_sample_archs_is_the_draw_of_as_many_sample_arch_calls(num_ops):
+    oracle = TabularOracle.random(7, num_ops, seed=num_ops)
+    for n in (1, 3, 17):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        ref.random()  # a drawn-from generator, mid-stream
+        rng.random()
+        block = oracle.sample_archs(rng, n)
+        assert block.shape == (n, 7)
+        assert [tuple(row) for row in block.tolist()] == [oracle.sample_arch(ref) for _ in range(n)]
+        assert rng.bit_generator.state == ref.bit_generator.state

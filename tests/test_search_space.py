@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from mdnas.search_space import (
     CELL_KINDS,
-    Genotype,
     OP_NAMES,
     build_cell_template,
     derive_genotype,
@@ -231,18 +228,6 @@ def test_derive_genotype_exclude_none():
     assert all(op == "none" for node in kept.nodes for _, op in node)
     dropped = derive_genotype(tpl, dists, 2, exclude_none=True)
     assert all(op == "skip_connect" for node in dropped.nodes for _, op in node)
-
-
-def test_genotype_json_round_trip():
-    rng = np.random.default_rng(2)
-    tpl = build_cell_template(4, "reduction")
-    dists = [rng.dirichlet(np.ones(8)) for _ in range(14)]
-    g = derive_genotype(tpl, dists, 2)
-    doc = json.loads(g.to_json())
-    assert doc["kind"] == "reduction"
-    assert len(doc["nodes"]) == 4
-    assert all(len(node) == 2 for node in doc["nodes"])
-    assert Genotype.from_json(g.to_json()) == g
 
 
 def test_cell_kinds():
