@@ -98,9 +98,8 @@ def _run_one_search(config: SearchConfig, out_dir: Path, evaluator=None) -> dict
     out_dir.mkdir(parents=True, exist_ok=True)
     result = searcher.run()
 
-    trace_path = out_dir / "trace.csv"
     _atomic_write(
-        trace_path,
+        out_dir / "trace.csv",
         lambda tmp: write_trace_csv(
             tmp, result.trace, searcher.edges_per_cell, config.num_ops
         ),
@@ -117,11 +116,12 @@ def _run_one_search(config: SearchConfig, out_dir: Path, evaluator=None) -> dict
         "seed": config.seed,
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
+        # Relative to the run directory, so that moving it keeps them valid.
         "outputs": {
-            "trace": str(trace_path),
-            "genotype_norm": str(out_dir / "genotype_norm.json"),
-            "genotype_reduction": str(out_dir / "genotype_reduction.json"),
-            "checkpoint": str(out_dir / "checkpoint.json"),
+            "trace": "trace.csv",
+            "genotype_norm": "genotype_norm.json",
+            "genotype_reduction": "genotype_reduction.json",
+            "checkpoint": "checkpoint.json",
         },
         "genotype_digest": hashlib.sha256((norm_json + red_json).encode()).hexdigest(),
     }
@@ -221,7 +221,7 @@ def cmd_derive(args) -> int:
         with open(args.checkpoint) as fh:
             snapshot = json.load(fh)
         searcher = Searcher.from_checkpoint(snapshot)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad checkpoint: {exc}") from exc
     doc = {g.kind: json.loads(g.to_json()) for g in searcher.genotypes(args.k)}
     out = Path(args.out)

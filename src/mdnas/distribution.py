@@ -23,14 +23,14 @@ PROB_FLOOR = 1e-6
 AGGREGATIONS = ("latest", "mean", "max")
 
 
-def sample_gate(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw the sampled op of one edge; consumes exactly one uniform variate
-    so replays with the same generator state are reproducible.  The op is
-    the first whose running sum exceeds u * total, clipped to M - 1; the
-    sums are added left to right in double precision, as np.cumsum adds a
-    float64 row."""
+def sample_gate(probs, rng: np.random.Generator) -> int:
+    """Draw the sampled op of one edge from its row (list, tuple or float64
+    array); consumes exactly one uniform variate so replays with the same
+    generator state are reproducible.  The op is the first whose running sum
+    exceeds u * total, clipped to M - 1; the sums are added left to right in
+    double precision, as np.cumsum adds a float64 row."""
     u = rng.random()
-    cum = list(accumulate(np.asarray(probs).tolist()))
+    cum = list(accumulate(probs))
     return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
 
 

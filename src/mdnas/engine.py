@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, asdict
+from itertools import chain
 
 import numpy as np
 
@@ -163,12 +165,7 @@ class EpochRecord:
     probs: tuple[tuple[float, ...], ...]  # post-update, per edge
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "arch": list(self.arch),
-            "accuracy": self.accuracy,
-            "probs": [list(p) for p in self.probs],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EpochRecord":
@@ -176,8 +173,31 @@ class EpochRecord:
             epoch=doc["epoch"],
             arch=tuple(doc["arch"]),
             accuracy=doc["accuracy"],
-            probs=tuple(tuple(p) for p in doc["probs"]),
+            probs=tuple(map(tuple, doc["probs"])),
         )
+
+
+def _load_record(doc: dict, epoch: int, num_edges: int, num_ops: int) -> EpochRecord:
+    """A checkpoint's trace record, checked: epoch `epoch`, one op id in
+    [0, num_ops) per edge, an accuracy in [0, 1] and one row of num_ops
+    finite floats per edge (finite by their sum, which holds short of
+    entries near 1e308).  A bool is not a number; a non-sequence is a
+    TypeError."""
+    arch, accuracy, probs = doc["arch"], doc["accuracy"], doc["probs"]
+    if not (
+        type(doc["epoch"]) is int and doc["epoch"] == epoch
+        and len(arch) == num_edges and set(map(type, arch)) == {int}
+        and 0 <= min(arch) <= max(arch) < num_ops
+        and type(accuracy) is float and 0.0 <= accuracy <= 1.0
+        and len(probs) == num_edges and set(map(len, probs)) == {num_ops}
+        and set(map(type, chain.from_iterable(probs))) == {float}
+        and math.isfinite(sum(chain.from_iterable(probs)))
+    ):
+        raise ValueError(
+            f"trace record {epoch} needs epoch {epoch}, {num_edges} op ids in [0, {num_ops}),"
+            f" an accuracy in [0, 1] and {num_edges} rows of {num_ops} finite floats"
+        )
+    return EpochRecord.from_dict(doc)
 
 
 @dataclass(frozen=True)
@@ -227,7 +247,7 @@ class Searcher:
 
     def step(self) -> EpochRecord:
         self.epoch += 1
-        arch = tuple(sample_gate(p, rng) for p, rng in zip(self.probs, self.rngs))
+        arch = tuple(map(sample_gate, self.probs.tolist(), self.rngs))
         accuracy = self.evaluator.evaluate(arch, self.epoch)
         record_feedback(self.counts, self.acc, arch, accuracy, self.config.acc_aggregation)
         self.probs = update_probs(self.probs, self.counts, self.acc, self.config.alpha)
@@ -306,7 +326,8 @@ class Searcher:
             )
         for rng, state in zip(searcher.rngs, states):
             rng.bit_generator.state = state
-        searcher.trace = [EpochRecord.from_dict(doc) for doc in snapshot["trace"]]
+        trace = enumerate(snapshot["trace"], 1)
+        searcher.trace = [_load_record(doc, epoch, *shape) for epoch, doc in trace]
         if len(searcher.trace) != searcher.epoch:
             raise ValueError(
                 f"checkpoint has {len(searcher.trace)} trace records for epoch {searcher.epoch}"
@@ -351,12 +372,9 @@ def write_trace_csv(path, trace, edges_per_cell: int, num_ops: int) -> None:
 
 
 def _json_row(row) -> str:
-    """json.dumps(list(row)), through float.__repr__ when every entry is a
-    finite float (json writes those with it too)."""
-    try:
-        text = ", ".join(map(float.__repr__, row))
-    except TypeError:
-        return json.dumps(list(row))
+    """json.dumps(list(row)) for a row of floats, through float.__repr__
+    when every entry is finite (json writes those with it too)."""
+    text = ", ".join(map(float.__repr__, row))
     # Only 'nan' and 'inf' hold an n; json spells them NaN and Infinity.
     return json.dumps(list(row)) if "n" in text else f"[{text}]"
 

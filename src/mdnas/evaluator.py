@@ -199,34 +199,21 @@ class TabularOracle:
                 q[e, best] = q[e, others].max() + argmax_margin
         return cls(q, seed=seed, **kwargs)
 
-    def _check(self, archs, shape: tuple[int, ...]) -> np.ndarray:
+    def true_score(self, arch: Sequence[int]) -> float:
+        return float(self.true_scores([arch])[0])
+
+    def true_scores(self, archs: Sequence[Sequence[int]]) -> np.ndarray:
+        """The score of every row of `archs`, gathered a block of rows at a
+        time.  Each gather is C-contiguous, so every row mean sums in the
+        order of a 1-D mean of that row, whatever the block size."""
+        if not len(archs):
+            return np.empty(0)
         archs = np.asarray(archs, dtype=np.int64)
-        if archs.shape != shape:
-            raise ValueError(
-                f"architectures have shape {archs.shape}, oracle expects {shape}"
-            )
+        if archs.shape != (len(archs), self.num_edges):
+            raise ValueError(f"architectures have shape {archs.shape}, not (n, {self.num_edges})")
         # The flat gathers would read a neighbouring row for an id out of range.
         if archs.min() < 0 or archs.max() >= self.num_ops:
             raise ValueError(f"op ids must lie in [0, {self.num_ops})")
-        return archs
-
-    def true_score(self, arch: Sequence[int]) -> float:
-        arch = self._check(arch, (self.num_edges,))
-        score = float(self.q.ravel()[self._row_base + arch].mean())
-        if self._w is not None:
-            # Edge pairs i < j in row-major order, gathered directly.
-            i, j = self._pairs
-            inter = self._w.ravel()[self._pair_base + arch[i] * self.num_ops + arch[j]]
-            score += self.interaction_strength * float(inter.mean())
-        return min(max(score, 0.0), 1.0)
-
-    def true_scores(self, archs: Sequence[Sequence[int]]) -> np.ndarray:
-        """true_score of every row of `archs`, bit for bit, gathered a block
-        of rows at a time.  Each gather is C-contiguous, so every row mean
-        sums in the order of true_score's 1-D mean."""
-        if not len(archs):
-            return np.empty(0)
-        archs = self._check(archs, (len(archs), self.num_edges))
         out = np.empty(len(archs))
         for start in range(0, len(archs), self._block_rows):
             block = archs[start : start + self._block_rows]
@@ -250,7 +237,7 @@ class TabularOracle:
         return self.true_score(arch)
 
     def sample_arch(self, rng: np.random.Generator) -> ArchitectureSample:
-        return tuple(rng.integers(self.num_ops, size=self.num_edges).tolist())
+        return tuple(self.sample_archs(rng, 1)[0].tolist())
 
     def sample_archs(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n architectures as an (n, num_edges) array: the draws, and the
@@ -336,12 +323,10 @@ class SurrogateCurveEvaluator:
         return self._gaps
 
     def replica(self) -> "SurrogateCurveEvaluator":
-        """A new evaluator over the same oracle and the same calibration
-        sample, with its own sigma cache.  Calibrate first to share the
-        sample: each seed of a batch gets a replica of one evaluator."""
-        twin = copy.copy(self)
-        twin._sigma_cache = {}
-        return twin
+        """A new evaluator sharing the oracle, the calibration sample and
+        the sigma cache, which is exact: a sigma depends only on the clamped
+        consistency and the sample.  Calibrate first to share the sample."""
+        return copy.copy(self)
 
     @property
     def num_edges(self) -> int:
@@ -480,12 +465,7 @@ class SurrogateCurveEvaluator:
         epochs = list(epochs)
         if any(epoch < 1 for epoch in epochs):
             raise ValueError("epoch must be >= 1")
-        # One arch (the search's call each epoch) is cheaper through
-        # true_score; both give the same bits.
-        if len(archs) == 1:
-            scores = np.array([self.oracle.true_score(archs[0])])
-        else:
-            scores = self.oracle.true_scores(archs)
+        scores = self.oracle.true_scores(archs)
         keys = [_arch_key(arch) for arch in archs]
         out = np.empty((len(epochs), len(archs)))
         for row, epoch in zip(out, epochs):

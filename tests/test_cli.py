@@ -167,7 +167,6 @@ def test_batch_builds_one_evaluator_and_matches_single_seed_runs(tmp_path, monke
         return f"evaluator {os.getpid()} {id(searcher.evaluator)}"
 
     _log_calls(monkeypatch, log, TabularOracle, "__init__")
-    _log_calls(monkeypatch, log, TabularOracle, "true_score")
     _log_calls(
         monkeypatch, log, TabularOracle, "true_scores",
         lambda self, archs: f"true_scores {len(archs)}",
@@ -183,9 +182,9 @@ def test_batch_builds_one_evaluator_and_matches_single_seed_runs(tmp_path, monke
     assert lines.count("__init__") == 1
     # one calibration, scored in blocks (two rows per pair) ...
     blocks = [int(line.split()[1]) for line in lines if line.startswith("true_scores ")]
-    assert sum(blocks) == 2 * pairs
-    # ... plus one single-arch evaluation per epoch and seed
-    assert lines.count("true_score") == len(seeds) * epochs
+    assert sum(b for b in blocks if b > 1) == 2 * pairs
+    # ... plus one one-row scoring per epoch and seed
+    assert blocks.count(1) == len(seeds) * epochs
     evaluators = [line for line in lines if line.startswith("evaluator ")]
     assert len(evaluators) == len(set(evaluators)) == len(seeds)
     for s in seeds:
@@ -583,6 +582,79 @@ def test_derive_rejects_nan_probs(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: bad checkpoint"), proc.stderr
     assert not derived.parent.exists()
+
+
+_DELETE = object()
+
+# Edits of a 5-epoch N=2, M=4 checkpoint's trace: the path of the value
+# under "trace", and its new value (or _DELETE to remove it).
+_BAD_TRACE_EDITS = {
+    "epoch-not-1": ((0, "epoch"), 2),
+    "epoch-bool": ((0, "epoch"), True),
+    "epochs-out-of-order": ((1, "epoch"), 1),
+    "arch-string": ((0, "arch"), "xyz"),
+    "arch-short": ((0, "arch", -1), _DELETE),
+    "arch-op-M": ((0, "arch", 0), 4),
+    "arch-op-negative": ((0, "arch", 0), -1),
+    "arch-op-float": ((0, "arch", 0), 1.0),
+    "arch-op-bool": ((0, "arch", 0), True),
+    "accuracy-above-1": ((0, "accuracy"), 1.5),
+    "accuracy-below-0": ((0, "accuracy"), -0.25),
+    "accuracy-nan": ((0, "accuracy"), float("nan")),
+    "accuracy-string": ((0, "accuracy"), "0.5"),
+    "accuracy-bool": ((0, "accuracy"), True),
+    "probs-junk-row": ((0, "probs", 0), ["abc", None, [], {}]),
+    "probs-short": ((0, "probs", -1), _DELETE),
+    "probs-row-short": ((0, "probs", 0, -1), _DELETE),
+    "probs-nan": ((0, "probs", 0, 0), float("nan")),
+    "probs-inf": ((0, "probs", 0, 0), float("inf")),
+    "probs-int": ((0, "probs", 0, 0), 1),
+    "probs-bool": ((0, "probs", 0, 0), True),
+    "probs-number": ((0, "probs"), 0.25),
+    "record-not-an-object": ((0,), ["abc"]),
+}
+
+
+@pytest.mark.parametrize("path,value", _BAD_TRACE_EDITS.values(), ids=_BAD_TRACE_EDITS)
+def test_derive_rejects_bad_trace_records(tmp_path, capsys, path, value):
+    """Epochs run 1..n; each record holds one int op id in [0, M) per edge,
+    a float accuracy in [0, 1] and one row of M finite floats per edge."""
+    cfg = tmp_path / "c.json"
+    write_config(cfg, epochs=5)
+    out = tmp_path / "run"
+    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
+    snapshot = json.loads((out / "checkpoint.json").read_text())
+    *keys, last = path
+    target = snapshot["trace"]
+    for key in keys:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(snapshot))
+    derived = tmp_path / "derived" / "g.json"
+    capsys.readouterr()
+    assert main(["derive", "--checkpoint", str(bad), "--out", str(derived)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad checkpoint"), lines
+    assert not derived.parent.exists()
+
+
+def test_manifest_outputs_do_not_depend_on_how_out_is_given(tmp_path, monkeypatch):
+    cfg = tmp_path / "config.json"
+    write_config(cfg)
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "--config", "config.json", "--out", "relative"]) == 0
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "absolute")]) == 0
+    relative, absolute = (
+        json.loads((tmp_path / name / "manifest.json").read_text())["outputs"]
+        for name in ("relative", "absolute")
+    )
+    assert relative == absolute
+    for name in absolute.values():
+        assert (tmp_path / "absolute" / name).is_file(), name
 
 
 def _run_cli(*argv, **env_vars):

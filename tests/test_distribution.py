@@ -122,6 +122,21 @@ def test_sample_gate_matches_cumsum_searchsorted(row, seed, as_list):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize(
+    "row", [[0.1, 0.2, 0.7], [PROB_FLOOR, 1.0 - 2 * PROB_FLOOR, PROB_FLOOR], [0.0, 0.0, 0.0]]
+)
+def test_sample_gate_takes_a_list_tuple_or_array_row(row):
+    """Same ops and same generator state whatever holds the row; an op id
+    never reaches M, not even for a row with no mass."""
+    draws = []
+    for holder in (list, tuple, np.array):
+        rng = np.random.default_rng(11)
+        ops = [sample_gate(holder(row), rng) for _ in range(32)]
+        assert all(type(op) is int and 0 <= op < len(row) for op in ops), holder
+        draws.append((ops, rng.bit_generator.state))
+    assert draws[0] == draws[1] == draws[2]
+
+
 def test_record_feedback_single_update():
     probs, counts, acc = _records(8)
     record_feedback(counts, acc, 3, 0.42)

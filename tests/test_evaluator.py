@@ -272,31 +272,51 @@ def test_sigma_solve_all_ties_has_no_gaps():
 
 def test_calibration_waits_for_the_first_sigma_solve(monkeypatch):
     """Building an evaluator scores nothing; the first noisy evaluation draws
-    the calibration sample, and replicas share it with their own sigma
-    caches.  A noiseless evaluator never draws it."""
+    the calibration sample, and replicas share it and the sigma cache.  A
+    noiseless evaluator never draws it.  Each evaluation scores one row."""
     oracle = TabularOracle.random(6, 4, seed=3, interaction_strength=0.1)
     oracle._block_rows = 5  # several calibration blocks, the last one short
-    singles, blocks = [], []
-    true_score, true_scores = TabularOracle.true_score, TabularOracle.true_scores
-    monkeypatch.setattr(
-        TabularOracle, "true_score", lambda self, arch: singles.append(1) or true_score(self, arch)
-    )
+    blocks = []
+    true_scores = TabularOracle.true_scores
     monkeypatch.setattr(
         TabularOracle, "true_scores",
         lambda self, archs: blocks.append(len(archs)) or true_scores(self, archs),
     )
     ev = SurrogateCurveEvaluator(oracle, consistency=0.8, seed=3, calibration_pairs=32)
     noiseless = SurrogateCurveEvaluator(oracle, consistency=1.0, seed=3, calibration_pairs=32)
-    assert singles == blocks == []
+    assert blocks == []
     noiseless.evaluate((0,) * 6, 1)
-    assert (len(singles), blocks) == (1, [])
+    assert blocks == [1]
     ev.evaluate((0,) * 6, 1)
-    assert (len(singles), blocks) == (2, [5] * 12 + [4])
+    assert blocks == [1, 1] + [5] * 12 + [4]
     twin = ev.replica()
     assert twin.oracle is oracle and twin._gaps is ev._gaps
-    assert twin._sigma_cache == {} and ev._sigma_cache
+    assert twin._sigma_cache is ev._sigma_cache and ev._sigma_cache
     assert twin.evaluate((1,) * 6, 2) == ev.evaluate((1,) * 6, 2)
-    assert (len(singles), blocks) == (4, [5] * 12 + [4])
+    assert blocks == [1, 1] + [5] * 12 + [4] + [1, 1]
+
+
+def test_a_replica_reuses_the_sigmas_another_replica_solved(monkeypatch):
+    """The second replica of a batch solves nothing the first one solved,
+    and scores bit for bit as a fresh evaluator does."""
+    oracle = TabularOracle.random(6, 4, seed=5, interaction_strength=0.1)
+    kwargs = dict(consistency=0.5, consistency_final=0.9, ramp_epochs=4, seed=5)
+    parent = SurrogateCurveEvaluator(oracle, calibration_pairs=64, **kwargs)
+    parent.calibrate()
+    first, second = parent.replica(), parent.replica()
+    archs = oracle.sample_archs(np.random.default_rng(5), 3)
+    epochs = range(1, 7)
+    first.evaluate_many(archs, epochs)
+    calls = []
+    agreement = SurrogateCurveEvaluator._agreement
+    monkeypatch.setattr(
+        SurrogateCurveEvaluator, "_agreement", lambda self, s: calls.append(s) or agreement(self, s)
+    )
+    got = second.evaluate_many(archs, epochs)
+    assert calls == []
+    fresh = SurrogateCurveEvaluator(oracle, calibration_pairs=64, **kwargs)
+    assert got.tobytes() == fresh.evaluate_many(archs, epochs).tobytes()
+    assert calls  # the fresh evaluator did solve
 
 
 def _reference_evaluate(ev, arch, epoch):
