@@ -22,7 +22,7 @@ from .evaluator import (
     measure_consistency,
 )
 from .ranking import RankStats, kendall_tau, tau_trace, mean_tau
-from .engine import SearchConfig, SearchResult, Searcher
+from .engine import SearchConfig, Searcher
 
 __all__ = [
     "OP_NAMES",
@@ -43,6 +43,5 @@ __all__ = [
     "tau_trace",
     "mean_tau",
     "SearchConfig",
-    "SearchResult",
     "Searcher",
 ]

@@ -96,16 +96,16 @@ def _run_one_search(config: SearchConfig, out_dir: Path, evaluator=None) -> dict
     started = datetime.now(timezone.utc).isoformat()
     searcher = Searcher(config, None if evaluator is None else evaluator.replica())
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = searcher.run()
+    norm, reduction = searcher.run()
 
     _atomic_write(
         out_dir / "trace.csv",
         lambda tmp: write_trace_csv(
-            tmp, result.trace, searcher.edges_per_cell, config.num_ops
+            tmp, searcher.trace, searcher.edges_per_cell, config.num_ops
         ),
     )
-    norm_json = result.genotype_norm.to_json()
-    red_json = result.genotype_reduction.to_json()
+    norm_json = norm.to_json()
+    red_json = reduction.to_json()
     _atomic_write(out_dir / "genotype_norm.json", norm_json)
     _atomic_write(out_dir / "genotype_reduction.json", red_json)
     _atomic_write(out_dir / "checkpoint.json", lambda tmp: write_checkpoint(tmp, searcher))
@@ -221,7 +221,7 @@ def cmd_derive(args) -> int:
         with open(args.checkpoint) as fh:
             snapshot = json.load(fh)
         searcher = Searcher.from_checkpoint(snapshot)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad checkpoint: {exc}") from exc
     doc = {g.kind: json.loads(g.to_json()) for g in searcher.genotypes(args.k)}
     out = Path(args.out)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields, asdict
 from itertools import chain
@@ -157,54 +156,41 @@ def build_evaluator(config: SearchConfig):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochRecord:
     epoch: int
     arch: tuple[int, ...]  # sampled op per edge, norm block then reduction
     accuracy: float
-    probs: tuple[tuple[float, ...], ...]  # post-update, per edge
+    probs: np.ndarray  # (edges, ops), post-update; never written after the epoch
 
     def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EpochRecord":
-        return cls(
-            epoch=doc["epoch"],
-            arch=tuple(doc["arch"]),
-            accuracy=doc["accuracy"],
-            probs=tuple(map(tuple, doc["probs"])),
-        )
+        return {**vars(self), "probs": self.probs.tolist()}
 
 
 def _load_record(doc: dict, epoch: int, num_edges: int, num_ops: int) -> EpochRecord:
     """A checkpoint's trace record, checked: epoch `epoch`, one op id in
     [0, num_ops) per edge, an accuracy in [0, 1] and one row of num_ops
-    finite floats per edge (finite by their sum, which holds short of
-    entries near 1e308).  A bool is not a number; a non-sequence is a
+    finite floats per edge.  A bool is not a number; a non-sequence is a
     TypeError."""
-    arch, accuracy, probs = doc["arch"], doc["accuracy"], doc["probs"]
+    arch, accuracy, rows = doc["arch"], doc["accuracy"], doc["probs"]
+    try:
+        probs = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        probs = None
     if not (
         type(doc["epoch"]) is int and doc["epoch"] == epoch
         and len(arch) == num_edges and set(map(type, arch)) == {int}
         and 0 <= min(arch) <= max(arch) < num_ops
         and type(accuracy) is float and 0.0 <= accuracy <= 1.0
-        and len(probs) == num_edges and set(map(len, probs)) == {num_ops}
-        and set(map(type, chain.from_iterable(probs))) == {float}
-        and math.isfinite(sum(chain.from_iterable(probs)))
+        and probs is not None and probs.shape == (num_edges, num_ops)
+        and set(map(type, chain.from_iterable(rows))) == {float}
+        and np.isfinite(probs).all()
     ):
         raise ValueError(
             f"trace record {epoch} needs epoch {epoch}, {num_edges} op ids in [0, {num_ops}),"
             f" an accuracy in [0, 1] and {num_edges} rows of {num_ops} finite floats"
         )
-    return EpochRecord.from_dict(doc)
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    genotype_norm: Genotype
-    genotype_reduction: Genotype
-    trace: tuple[EpochRecord, ...]
+    return EpochRecord(epoch, tuple(arch), accuracy, probs)
 
 
 class Searcher:
@@ -250,13 +236,9 @@ class Searcher:
         arch = tuple(map(sample_gate, self.probs.tolist(), self.rngs))
         accuracy = self.evaluator.evaluate(arch, self.epoch)
         record_feedback(self.counts, self.acc, arch, accuracy, self.config.acc_aggregation)
+        # update_probs returns a new array, so the record keeps it uncopied.
         self.probs = update_probs(self.probs, self.counts, self.acc, self.config.alpha)
-        record = EpochRecord(
-            epoch=self.epoch,
-            arch=arch,
-            accuracy=accuracy,
-            probs=tuple(map(tuple, self.probs.tolist())),
-        )
+        record = EpochRecord(self.epoch, arch, accuracy, self.probs)
         self.trace.append(record)
         return record
 
@@ -277,13 +259,13 @@ class Searcher:
             for i, template in enumerate(self.templates)
         )
 
-    def run(self) -> SearchResult:
+    def run(self) -> tuple[Genotype, Genotype]:
+        """The norm and reduction genotypes; the records stay in `trace`."""
         while self.epoch < self.config.epochs:
             self.step()
             if self.config.early_stop and self.converged():
                 break
-        norm, reduction = self.genotypes()
-        return SearchResult(norm, reduction, tuple(self.trace))
+        return self.genotypes()
 
     def _state(self) -> dict:
         """The checkpoint without its trace."""
@@ -309,16 +291,30 @@ class Searcher:
         if config.digest() != snapshot["config_hash"]:
             raise ValueError("checkpoint config hash does not match")
         searcher = cls(config)
-        searcher.epoch = snapshot["epoch"]
+        epoch, trace = snapshot["epoch"], snapshot["trace"]
+        if not (type(epoch) is int and 0 <= epoch <= config.epochs):
+            raise ValueError(f"checkpoint epoch {epoch!r} is no int in [0, {config.epochs}]")
+        if len(trace) != epoch:
+            raise ValueError(f"checkpoint has {len(trace)} trace records for epoch {epoch}")
+        searcher.epoch = epoch
         docs = snapshot["distributions"]
         if len(docs) != searcher.num_edges:
             raise ValueError("checkpoint has the wrong number of edges")
-        searcher.probs = _check_probs([d["probs"] for d in docs], searcher.num_edges)
-        searcher.counts = np.array([d["epochs"] for d in docs], dtype=np.int64)
-        searcher.acc = np.array([d["acc"] for d in docs], dtype=float)
+        rows = {key: [d[key] for d in docs] for key in ("probs", "epochs", "acc")}
+        for key, kind in (("probs", float), ("epochs", int), ("acc", float)):
+            if set(map(type, chain.from_iterable(rows[key]))) != {kind}:
+                raise ValueError(f"checkpoint {key} rows must hold {kind.__name__}s only")
+        searcher.probs = _check_probs(rows["probs"], searcher.num_edges)
+        counts = searcher.counts = np.array(rows["epochs"], dtype=np.int64)
+        acc = searcher.acc = np.array(rows["acc"], dtype=float)
         shape = (searcher.num_edges, config.num_ops)
-        if not searcher.probs.shape == searcher.counts.shape == searcher.acc.shape == shape:
+        if not searcher.probs.shape == counts.shape == acc.shape == shape:
             raise ValueError("checkpoint distributions have the wrong number of ops")
+        # Counts bounded by the epoch first, so that their row sums cannot overflow.
+        if not (((0 <= counts) & (counts <= epoch)).all() and (counts.sum(axis=1) == epoch).all()):
+            raise ValueError(f"checkpoint epochs rows must be non-negative and sum to {epoch}")
+        if not ((0 <= acc) & (acc <= 1)).all():
+            raise ValueError("checkpoint acc entries must lie in [0, 1]")
         states = snapshot["rng_states"]
         if len(states) != searcher.num_edges:
             raise ValueError(
@@ -326,12 +322,7 @@ class Searcher:
             )
         for rng, state in zip(searcher.rngs, states):
             rng.bit_generator.state = state
-        trace = enumerate(snapshot["trace"], 1)
-        searcher.trace = [_load_record(doc, epoch, *shape) for epoch, doc in trace]
-        if len(searcher.trace) != searcher.epoch:
-            raise ValueError(
-                f"checkpoint has {len(searcher.trace)} trace records for epoch {searcher.epoch}"
-            )
+        searcher.trace = [_load_record(doc, t, *shape) for t, doc in enumerate(trace, 1)]
         return searcher
 
 
@@ -343,13 +334,13 @@ def _row_texts(trace, format_row):
     always formatted.  A NaN equals no other NaN, so a row holding one is
     formatted too.  The list yielded is updated in place for the next
     record."""
-    prev_rows, texts = [], []
+    texts = [None] * len(trace[0].probs) if trace else []
+    prev = np.nan  # equal to nothing, so every row of the first record is formatted
     for record in trace:
-        if len(record.probs) != len(texts):
-            prev_rows, texts = [None] * len(record.probs), [None] * len(record.probs)
-        for e, row in enumerate(record.probs):
-            if row != prev_rows[e] or 0.0 in row:
-                prev_rows[e], texts[e] = row, format_row(row)
+        rows = np.flatnonzero(((record.probs != prev) | (record.probs == 0)).any(axis=1))
+        for e, row in zip(rows.tolist(), record.probs[rows].tolist()):
+            texts[e] = format_row(row)
+        prev = record.probs
         yield record, texts
 
 

@@ -152,21 +152,28 @@ class TabularOracle:
             raise ValueError("interaction_strength must be >= 0")
         self.q = q
         self.interaction_strength = interaction_strength
+        self._seed = seed
         e, m = q.shape
         # Flat offsets: q[k, arch[k]] is q.ravel()[_row_base + arch], and
         # _w[i, j, arch[i], arch[j]] is _w.ravel()[_pair_base + arch[i]*m + arch[j]].
         self._row_base = np.arange(e) * m
+        width = e
         if interaction_strength > 0:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7]))
-            self._w = rng.uniform(-1.0, 1.0, size=(e, e, m, m))
             self._pairs = np.triu_indices(e, k=1)
             i, j = self._pairs
             self._pair_base = (i * e + j) * (m * m)
-        else:
-            self._w = None
+            width = len(self._pair_base)
         # Rows per gather in true_scores.
-        width = e if self._w is None else len(self._pair_base)
         self._block_rows = max(1, _GATHER_ITEMS // max(width, 1))
+
+    @cached_property
+    def _w(self) -> np.ndarray:
+        """The (e, e, m, m) interaction weights, drawn at the first scoring,
+        so that an oracle built only to check a checkpoint (derive's) draws
+        none.  Read only when interaction_strength > 0."""
+        rng = np.random.default_rng(np.random.SeedSequence([self._seed, 0x1A7]))
+        e, m = self.q.shape
+        return rng.uniform(-1.0, 1.0, size=(e, e, m, m))
 
     @property
     def num_edges(self) -> int:
@@ -218,7 +225,7 @@ class TabularOracle:
         for start in range(0, len(archs), self._block_rows):
             block = archs[start : start + self._block_rows]
             scores = self.q.ravel()[self._row_base + block].mean(axis=1)
-            if self._w is not None:
+            if self.interaction_strength > 0:
                 i, j = self._pairs
                 # take, not block[:, i]: fancy-indexing columns gives an
                 # F-ordered array, whose row means sum in another order.

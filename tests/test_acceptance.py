@@ -262,10 +262,13 @@ def test_criterion_9_determinism_and_checkpointing(capsys, tmp_path):
     )
 
     def run_to_csv(searcher, name):
-        result = searcher.run()
+        """The genotypes, every record's epoch, arch, accuracy and probs
+        rows, and the trace.csv bytes of one run."""
+        genotypes = searcher.run()
         path = tmp_path / name
-        write_trace_csv(path, result.trace, searcher.edges_per_cell, cfg.num_ops)
-        return result, path.read_bytes()
+        write_trace_csv(path, searcher.trace, searcher.edges_per_cell, cfg.num_ops)
+        records = [(r.epoch, r.arch, r.accuracy, r.probs.tolist()) for r in searcher.trace]
+        return (genotypes, records), path.read_bytes()
 
     r1, b1 = run_to_csv(Searcher(cfg), "a.csv")
     r2, b2 = run_to_csv(Searcher(cfg), "b.csv")

@@ -642,6 +642,52 @@ def test_derive_rejects_bad_trace_records(tmp_path, capsys, path, value):
     assert not derived.parent.exists()
 
 
+# Each edit is (path from the checkpoint's root, new value or _DELETE).
+_BAD_STATE_EDITS = {
+    "epoch-float": [(("epoch",), 5.0)],
+    "epoch-bool": [(("epoch",), True), (("trace", slice(1, None)), _DELETE)],
+    "counts-negative": [(("distributions", 0, "epochs", 0), -3)],
+    "counts-float": [(("distributions", 0, "epochs", 0), 1.5)],
+    "counts-bool": [(("distributions", 0, "epochs", 0), True)],
+    "counts-row-sum": [(("distributions", 0, "epochs"), [1, 1, 1, 1])],
+    # One numpy cannot hold: an error line, not a traceback.
+    "counts-beyond-int64": [(("distributions", 0, "epochs", 0), 2**64)],
+    "acc-nan": [(("distributions", 0, "acc", 0), float("nan"))],
+    "acc-above-1": [(("distributions", 0, "acc", 0), 7.5)],
+    "acc-negative": [(("distributions", 0, "acc", 0), -0.5)],
+    "acc-bool": [(("distributions", 0, "acc", 0), True)],
+    "probs-bool": [(("distributions", 0, "probs"), [True, 0.0, 0.0, 0.0])],
+}
+
+
+@pytest.mark.parametrize("edits", _BAD_STATE_EDITS.values(), ids=_BAD_STATE_EDITS)
+def test_derive_rejects_bad_checkpoint_state(tmp_path, capsys, edits):
+    """The epoch is an int in [0, config.epochs]; each edge's `epochs` row
+    holds non-negative ints summing to it, its `acc` row floats in [0, 1]
+    and its `probs` row floats."""
+    cfg = tmp_path / "c.json"
+    write_config(cfg, epochs=5)
+    out = tmp_path / "run"
+    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
+    snapshot = json.loads((out / "checkpoint.json").read_text())
+    for (*keys, last), value in edits:
+        target = snapshot
+        for key in keys:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(snapshot))
+    derived = tmp_path / "derived" / "g.json"
+    capsys.readouterr()
+    assert main(["derive", "--checkpoint", str(bad), "--out", str(derived)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad checkpoint"), lines
+    assert not derived.parent.exists()
+
+
 def test_manifest_outputs_do_not_depend_on_how_out_is_given(tmp_path, monkeypatch):
     cfg = tmp_path / "config.json"
     write_config(cfg)

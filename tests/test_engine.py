@@ -10,6 +10,7 @@ from mdnas.engine import (
     EpochRecord,
     SearchConfig,
     Searcher,
+    _load_record,
     build_evaluator,
     write_checkpoint,
     write_trace_csv,
@@ -26,6 +27,23 @@ def small_config(**kw):
     )
     base.update(kw)
     return SearchConfig(**base)
+
+
+def _same_trace(a, b) -> bool:
+    """Whether two traces hold the same records: epoch, arch, accuracy and
+    probs array."""
+    return len(a) == len(b) and all(
+        (x.epoch, x.arch, x.accuracy) == (y.epoch, y.arch, y.accuracy)
+        and np.array_equal(x.probs, y.probs)
+        for x, y in zip(a, b)
+    )
+
+
+def _output_bytes(tmp_dir, searcher):
+    """The trace.csv and checkpoint.json bytes that `searcher` writes."""
+    path = tmp_dir / "trace.csv"
+    write_trace_csv(path, searcher.trace, searcher.edges_per_cell, searcher.config.num_ops)
+    return path.read_bytes(), _checkpoint_bytes(tmp_dir, searcher)
 
 
 def test_config_validation():
@@ -96,19 +114,19 @@ def test_single_evaluation_per_epoch():
 def test_degenerate_single_op_space():
     cfg = small_config(num_ops=1, k=1)
     s = Searcher(cfg)
-    result = s.run()
-    assert len(result.trace) == cfg.epochs
+    norm, _ = s.run()
+    assert len(s.trace) == cfg.epochs
     assert np.allclose(s.probs, 1.0)
-    for node in result.genotype_norm.nodes:
+    for node in norm.nodes:
         assert len(node) == 1
 
 
 def test_determinism_same_seed():
-    r1 = Searcher(small_config()).run()
-    r2 = Searcher(small_config()).run()
-    assert r1 == r2
-    r3 = Searcher(small_config(seed=99)).run()
-    assert r3.trace != r1.trace
+    s1, s2, s3 = (Searcher(small_config(seed=seed)) for seed in (0, 0, 99))
+    assert s1.run() == s2.run()
+    assert _same_trace(s1.trace, s2.trace)
+    s3.run()
+    assert not _same_trace(s3.trace, s1.trace)
 
 
 def test_max_single_epoch_prob_change():
@@ -139,22 +157,23 @@ def test_entropy_decreases_on_consistent_oracle():
         assert eT < e0
 
 
-def test_checkpoint_resume_matches_uninterrupted():
+def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     cfg = small_config(epochs=20)
     full = Searcher(cfg)
-    full_result = full.run()
+    full_genotypes = full.run()
 
     part = Searcher(cfg)
     for _ in range(10):
         part.step()
     snapshot = json.loads(json.dumps(part.checkpoint()))
     resumed = Searcher.from_checkpoint(snapshot)
-    resumed_result = resumed.run()
-    assert resumed_result == full_result
+    assert resumed.run() == full_genotypes
+    assert _same_trace(resumed.trace, full.trace)
+    assert _output_bytes(tmp_path, resumed) == _output_bytes(tmp_path, full)
     assert np.array_equal(full.probs, resumed.probs)
 
 
-def test_resume_matches_uninterrupted_under_a_ramp_of_nearby_consistencies():
+def test_resume_matches_uninterrupted_under_a_ramp_of_nearby_consistencies(tmp_path):
     """Every epoch's consistency agrees with the others to 9 places; each
     still gets its own sigma, so a run resumed at epoch 5 (whose first solve
     is epoch 6's) matches the uninterrupted one."""
@@ -163,12 +182,15 @@ def test_resume_matches_uninterrupted_under_a_ramp_of_nearby_consistencies():
         "consistency_final": 0.8 + 1e-10, "ramp_epochs": 10,
     }
     cfg = small_config(epochs=10, evaluator=evaluator)
-    full_result = Searcher(cfg).run()
+    full = Searcher(cfg)
+    full_genotypes = full.run()
     part = Searcher(cfg)
     for _ in range(5):
         part.step()
     resumed = Searcher.from_checkpoint(json.loads(json.dumps(part.checkpoint())))
-    assert resumed.run() == full_result
+    assert resumed.run() == full_genotypes
+    assert _same_trace(resumed.trace, full.trace)
+    assert _output_bytes(tmp_path, resumed) == _output_bytes(tmp_path, full)
 
 
 def test_checkpoint_round_trip_idempotent():
@@ -221,17 +243,17 @@ def test_early_stop_on_convergence():
         epochs=50, early_stop=True, convergence_threshold=0.3, acc_aggregation="mean"
     )
     s = Searcher(cfg)
-    result = s.run()
-    if len(result.trace) < cfg.epochs:
+    s.run()
+    if len(s.trace) < cfg.epochs:
         assert s.converged()
 
 
 def test_trace_csv_shape(tmp_path):
     cfg = small_config(epochs=5)
     s = Searcher(cfg)
-    result = s.run()
+    s.run()
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, result.trace, s.edges_per_cell, cfg.num_ops)
+    write_trace_csv(path, s.trace, s.edges_per_cell, cfg.num_ops)
     lines = path.read_text().splitlines()
     assert len(lines) == 1 + cfg.epochs * 2 * s.edges_per_cell
     header = lines[0].split(",")
@@ -268,18 +290,18 @@ def _repeated_row_records(trace, num_ops, rng):
     edge, and zeros whose sign flips between epochs."""
     last = trace[-1]
     n = len(last.probs)
-    zero_row = (0.0,) + (1.0,) * (num_ops - 1)
-    neg_zero_row = (-0.0,) + (1.0,) * (num_ops - 1)
+    zero_row = [0.0] + [1.0] * (num_ops - 1)
+    neg_zero_row = [-0.0] + [1.0] * (num_ops - 1)
     rows = [
-        tuple(tuple(list(p)) for p in last.probs),
+        last.probs.copy(),
         last.probs,
-        last.probs[1:] + last.probs[:1],
-        (zero_row,) * n,
-        (neg_zero_row,) * n,
-        (zero_row, neg_zero_row) * (n // 2),
-        (neg_zero_row, zero_row) * (n // 2),
-        ((-1e-12,) * num_ops,) * n,
-        ((-1e-12,) * num_ops,) * n,
+        np.roll(last.probs, -1, axis=0),
+        np.array([zero_row] * n),
+        np.array([neg_zero_row] * n),
+        np.array([zero_row, neg_zero_row] * (n // 2)),
+        np.array([neg_zero_row, zero_row] * (n // 2)),
+        np.full((n, num_ops), -1e-12),
+        np.full((n, num_ops), -1e-12),
     ]
     records = []
     for probs in rows:
@@ -303,7 +325,7 @@ def test_write_trace_csv_matches_csv_writer_bytes(tmp_path, num_intermediate, nu
         probs = rng.dirichlet(np.ones(num_ops), size=part.num_edges)
         probs[rng.random(probs.shape) < 0.4] = PROB_FLOOR
         arch = rng.integers(num_ops, size=part.num_edges).tolist()
-        trace.append(EpochRecord(epoch, tuple(arch), accuracy, tuple(map(tuple, probs.tolist()))))
+        trace.append(EpochRecord(epoch, tuple(arch), accuracy, probs))
     trace += _repeated_row_records(trace, num_ops, rng)
     got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
     write_trace_csv(got, trace, part.edges_per_cell, num_ops)
@@ -380,7 +402,7 @@ def test_write_checkpoint_reuses_only_identical_row_text(tmp_path_factory, data,
     records = data.draw(st.lists(st.tuples(*[rows] * num_edges), max_size=8))
     searcher = Searcher(small_config(num_intermediate=1, num_ops=num_ops))
     searcher.trace = [
-        EpochRecord(epoch, (0,) * num_edges, 0.5, probs)
+        EpochRecord(epoch, (0,) * num_edges, 0.5, np.array(probs, dtype=float))
         for epoch, probs in enumerate(records, start=1)
     ]
     tmp_dir = tmp_path_factory.mktemp("checkpoint")
@@ -402,7 +424,7 @@ def test_write_checkpoint_signed_zero_and_moved_rows(tmp_path):
     ]
     searcher = Searcher(small_config(num_intermediate=1, num_ops=2))
     searcher.trace = [
-        EpochRecord(epoch, (0, 1), 0.5, p) for epoch, p in enumerate(probs, start=1)
+        EpochRecord(epoch, (0, 1), 0.5, np.array(p)) for epoch, p in enumerate(probs, start=1)
     ]
     assert _checkpoint_bytes(tmp_path, searcher) == json.dumps(searcher.checkpoint()).encode()
 
@@ -410,17 +432,30 @@ def test_write_checkpoint_signed_zero_and_moved_rows(tmp_path):
 def test_epoch_record_round_trip():
     s = Searcher(small_config())
     rec = s.step()
-    clone = EpochRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
-    assert clone == rec
+    doc = json.loads(json.dumps(rec.to_dict()))
+    clone = _load_record(doc, 1, s.num_edges, s.config.num_ops)
+    assert _same_trace([clone], [rec])
+
+
+def test_a_record_keeps_its_epochs_probs():
+    """The record holds the array update_probs returned for its epoch,
+    uncopied, so no later step may write that array."""
+    s = Searcher(small_config())
+    first = s.step()
+    kept = first.probs.copy()
+    s.run()
+    assert first.probs is not s.probs and not np.array_equal(s.probs, kept)
+    assert np.array_equal(first.probs, kept)
 
 
 def test_surrogate_engine_runs():
     cfg = small_config(
         evaluator={"type": "surrogate", "consistency": 0.8, "seed": 3}
     )
-    result = Searcher(cfg).run()
-    assert len(result.trace) == cfg.epochs
-    assert all(0.0 <= r.accuracy <= 1.0 for r in result.trace)
+    s = Searcher(cfg)
+    s.run()
+    assert len(s.trace) == cfg.epochs
+    assert all(0.0 <= r.accuracy <= 1.0 for r in s.trace)
 
 
 def test_build_evaluator_rejects_bad_specs():

@@ -419,6 +419,22 @@ def test_true_score_clips_as_np_clip_does():
         clipped.add((raw < 0) - (raw > 1))
     assert clipped == {-1, 0, 1}
 
+def test_interaction_table_is_drawn_at_the_first_scoring():
+    """An oracle that never scores holds no interaction table; its first
+    scores equal, bit for bit, those of a table drawn eagerly from the same
+    stream.  Without interactions no table is ever drawn."""
+    lazy, eager = (TabularOracle.random(10, 4, seed=5, interaction_strength=0.3) for _ in "ab")
+    assert "_w" not in vars(lazy)
+    rng = np.random.default_rng(np.random.SeedSequence([5, 0x1A7]))
+    eager._w = rng.uniform(-1.0, 1.0, size=(10, 10, 4, 4))
+    archs = lazy.sample_archs(np.random.default_rng(0), 64)
+    assert lazy.true_scores(archs).tobytes() == eager.true_scores(archs).tobytes()
+    assert np.array_equal(lazy._w, eager._w)
+    plain = TabularOracle(lazy.q)
+    plain.true_scores(archs)
+    assert "_w" not in vars(plain)
+
+
 @pytest.mark.parametrize("num_edges", [3, 10, 28])
 def test_interaction_true_score_matches_full_matrix_formula(num_edges):
     oracle = TabularOracle.random(num_edges, 8, seed=num_edges, interaction_strength=0.3)
