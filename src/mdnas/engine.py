@@ -167,30 +167,26 @@ class EpochRecord:
         return {**vars(self), "probs": self.probs.tolist()}
 
 
-def _load_record(doc: dict, epoch: int, num_edges: int, num_ops: int) -> EpochRecord:
-    """A checkpoint's trace record, checked: epoch `epoch`, one op id in
-    [0, num_ops) per edge, an accuracy in [0, 1] and one row of num_ops
-    finite floats per edge.  A bool is not a number; a non-sequence is a
-    TypeError."""
-    arch, accuracy, rows = doc["arch"], doc["accuracy"], doc["probs"]
+def _array(name: str, rows, kind: type, shape: tuple) -> np.ndarray:
+    """`rows` as one int64 (kind int) or float array of `shape`, checked: every
+    entry is finite and of type `kind`, and a bool is neither.  [] gets `shape`."""
+    entries = rows
+    for _ in shape[1:]:
+        entries = chain.from_iterable(entries)
     try:
-        probs = np.array(rows, dtype=float)
+        array = np.array(rows, dtype=np.int64 if kind is int else float)
+        if array.shape == (0,):
+            array = array.reshape(shape)
     except (TypeError, ValueError, OverflowError):
-        probs = None
+        array = None
+    # Types last: once the shape holds, every level above the entries is a sequence.
     if not (
-        type(doc["epoch"]) is int and doc["epoch"] == epoch
-        and len(arch) == num_edges and set(map(type, arch)) == {int}
-        and 0 <= min(arch) <= max(arch) < num_ops
-        and type(accuracy) is float and 0.0 <= accuracy <= 1.0
-        and probs is not None and probs.shape == (num_edges, num_ops)
-        and set(map(type, chain.from_iterable(rows))) == {float}
-        and np.isfinite(probs).all()
+        array is not None and array.shape == shape
+        and set(map(type, entries)) <= {kind}
+        and np.isfinite(array).all()
     ):
-        raise ValueError(
-            f"trace record {epoch} needs epoch {epoch}, {num_edges} op ids in [0, {num_ops}),"
-            f" an accuracy in [0, 1] and {num_edges} rows of {num_ops} finite floats"
-        )
-    return EpochRecord(epoch, tuple(arch), accuracy, probs)
+        raise ValueError(f"checkpoint {name} must be {shape} finite {kind.__name__}s")
+    return array
 
 
 class Searcher:
@@ -298,23 +294,15 @@ class Searcher:
             raise ValueError(f"checkpoint has {len(trace)} trace records for epoch {epoch}")
         searcher.epoch = epoch
         docs = snapshot["distributions"]
-        if len(docs) != searcher.num_edges:
-            raise ValueError("checkpoint has the wrong number of edges")
-        rows = {key: [d[key] for d in docs] for key in ("probs", "epochs", "acc")}
-        for key, kind in (("probs", float), ("epochs", int), ("acc", float)):
-            if set(map(type, chain.from_iterable(rows[key]))) != {kind}:
-                raise ValueError(f"checkpoint {key} rows must hold {kind.__name__}s only")
-        searcher.probs = _check_probs(rows["probs"], searcher.num_edges)
-        counts = searcher.counts = np.array(rows["epochs"], dtype=np.int64)
-        acc = searcher.acc = np.array(rows["acc"], dtype=float)
         shape = (searcher.num_edges, config.num_ops)
-        if not searcher.probs.shape == counts.shape == acc.shape == shape:
-            raise ValueError("checkpoint distributions have the wrong number of ops")
-        # Counts bounded by the epoch first, so that their row sums cannot overflow.
-        if not (((0 <= counts) & (counts <= epoch)).all() and (counts.sum(axis=1) == epoch).all()):
-            raise ValueError(f"checkpoint epochs rows must be non-negative and sum to {epoch}")
+        probs, counts, acc = (
+            _array(key, [d[key] for d in docs], kind, shape)
+            for key, kind in (("probs", float), ("epochs", int), ("acc", float))
+        )
+        _check_probs(probs, searcher.num_edges)
         if not ((0 <= acc) & (acc <= 1)).all():
             raise ValueError("checkpoint acc entries must lie in [0, 1]")
+        searcher.probs, searcher.counts, searcher.acc = probs, counts, acc
         states = snapshot["rng_states"]
         if len(states) != searcher.num_edges:
             raise ValueError(
@@ -322,24 +310,46 @@ class Searcher:
             )
         for rng, state in zip(searcher.rngs, states):
             rng.bit_generator.state = state
-        searcher.trace = [_load_record(doc, t, *shape) for t, doc in enumerate(trace, 1)]
+        numbered = [(type(r["epoch"]), r["epoch"]) for r in trace]
+        if numbered != [(int, t) for t in range(1, epoch + 1)]:
+            raise ValueError(f"checkpoint trace epochs must be the ints 1..{epoch}")
+        arch = _array("trace arch", [r["arch"] for r in trace], int, (epoch, shape[0]))
+        accuracy = _array("trace accuracy", [r["accuracy"] for r in trace], float, (epoch,))
+        trace_probs = _array("trace probs", [r["probs"] for r in trace], float, (epoch, *shape))
+        if not ((0 <= arch) & (arch < config.num_ops)).all():
+            raise ValueError(f"checkpoint trace op ids must lie in [0, {config.num_ops})")
+        if not ((0 <= accuracy) & (accuracy <= 1)).all():
+            raise ValueError("checkpoint trace accuracies must lie in [0, 1]")
+        # State and trace must agree: the counts tally the sampled ops (so they
+        # are non-negative and sum to the epoch), and probs are the last record's.
+        tally = np.zeros(shape, dtype=np.int64)
+        np.add.at(tally, (np.arange(shape[0]), arch), 1)
+        if not np.array_equal(counts, tally):
+            raise ValueError("checkpoint epochs rows do not tally the trace's sampled ops")
+        if epoch and not np.array_equal(probs, trace_probs[-1]):
+            raise ValueError("checkpoint probs differ from the last trace record's")
+        searcher.trace = list(map(
+            EpochRecord, range(1, epoch + 1), map(tuple, arch.tolist()), accuracy.tolist(),
+            trace_probs,
+        ))
         return searcher
 
 
-def _row_texts(trace, format_row):
+def _row_texts(trace, format_rows):
     """Yield each record of `trace` with the text of its probability rows.
     A row is formatted only where it differs from the same edge's row in the
     previous record; otherwise that row's text is reused.  Equal rows of
     floats print the same, except that 0.0 == -0.0: a row holding a zero is
     always formatted.  A NaN equals no other NaN, so a row holding one is
-    formatted too.  The list yielded is updated in place for the next
-    record."""
+    formatted too.  `format_rows` maps one record's changed rows, a list of
+    float lists, to their texts in one call; what it returns for [] is
+    ignored.  The list yielded is updated in place for the next record."""
     texts = [None] * len(trace[0].probs) if trace else []
     prev = np.nan  # equal to nothing, so every row of the first record is formatted
     for record in trace:
         rows = np.flatnonzero(((record.probs != prev) | (record.probs == 0)).any(axis=1))
-        for e, row in zip(rows.tolist(), record.probs[rows].tolist()):
-            texts[e] = format_row(row)
+        for e, text in zip(rows.tolist(), format_rows(record.probs[rows].tolist())):
+            texts[e] = text
         prev = record.probs
         yield record, texts
 
@@ -351,23 +361,15 @@ def write_trace_csv(path, trace, edges_per_cell: int, num_ops: int) -> None:
     header = ["epoch", "accuracy", "cell_kind", "edge_index", "sampled_op"]
     header += [f"prob_{i}" for i in range(num_ops)]
     edge_prefixes = [f"{kind},{i}," for kind in CELL_KINDS for i in range(edges_per_cell)]
-    probs_format = ",".join(["%.10f"] * num_ops) + "\r\n"
+    row_format = ",".join(["%.10f"] * num_ops) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for record, texts in _row_texts(trace, lambda row: probs_format % tuple(row)):
+        for record, texts in _row_texts(trace, lambda rows: [row_format % tuple(r) for r in rows]):
             head = "%d,%.10f," % (record.epoch, record.accuracy)
             fh.write("".join([
                 "%s%s%d,%s" % (head, prefix, op, text)
                 for prefix, op, text in zip(edge_prefixes, record.arch, texts)
             ]))
-
-
-def _json_row(row) -> str:
-    """json.dumps(list(row)) for a row of floats, through float.__repr__
-    when every entry is finite (json writes those with it too)."""
-    text = ", ".join(map(float.__repr__, row))
-    # Only 'nan' and 'inf' hold an n; json spells them NaN and Infinity.
-    return json.dumps(list(row)) if "n" in text else f"[{text}]"
 
 
 def write_checkpoint(path, searcher: Searcher) -> None:
@@ -377,10 +379,12 @@ def write_checkpoint(path, searcher: Searcher) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(searcher._state())[:-1] + ', "trace": [')
         sep = ""
-        for record, texts in _row_texts(searcher.trace, _json_row):
+        # One json.dumps of a record's changed rows, split between them: no float holds a ].
+        format_rows = lambda rows: json.dumps(rows)[2:-2].split("], [")
+        for record, texts in _row_texts(searcher.trace, format_rows):
             head = json.dumps(
                 {"epoch": record.epoch, "arch": list(record.arch), "accuracy": record.accuracy}
             )
-            fh.write(f'{sep}{head[:-1]}, "probs": [{", ".join(texts)}]}}')
+            fh.write(f'{sep}{head[:-1]}, "probs": [[{"], [".join(texts)}]]}}')
             sep = ", "
         fh.write("]}")

@@ -657,14 +657,20 @@ _BAD_STATE_EDITS = {
     "acc-negative": [(("distributions", 0, "acc", 0), -0.5)],
     "acc-bool": [(("distributions", 0, "acc", 0), True)],
     "probs-bool": [(("distributions", 0, "probs"), [True, 0.0, 0.0, 0.0])],
+    # A callable edits the value in place of replacing it.  Rotating a row
+    # of four ints that sum to 5 keeps its sum and moves its counts.
+    "counts-contradict-trace": [(("distributions", 0, "epochs"), lambda row: row[1:] + row[:1])],
+    "probs-not-the-last-records": [
+        (("trace", -1, "probs"), lambda rows: [rows[1], rows[0], *rows[2:]])
+    ],
 }
 
 
 @pytest.mark.parametrize("edits", _BAD_STATE_EDITS.values(), ids=_BAD_STATE_EDITS)
 def test_derive_rejects_bad_checkpoint_state(tmp_path, capsys, edits):
     """The epoch is an int in [0, config.epochs]; each edge's `epochs` row
-    holds non-negative ints summing to it, its `acc` row floats in [0, 1]
-    and its `probs` row floats."""
+    holds the ints that tally its sampled ops in the trace, its `acc` row
+    floats in [0, 1] and its `probs` row the last trace record's floats."""
     cfg = tmp_path / "c.json"
     write_config(cfg, epochs=5)
     out = tmp_path / "run"
@@ -676,6 +682,10 @@ def test_derive_rejects_bad_checkpoint_state(tmp_path, capsys, edits):
             target = target[key]
         if value is _DELETE:
             del target[last]
+        elif callable(value):
+            edited = value(target[last])
+            assert edited != target[last]
+            target[last] = edited
         else:
             target[last] = value
     bad = tmp_path / "checkpoint.json"

@@ -10,7 +10,7 @@ from mdnas.engine import (
     EpochRecord,
     SearchConfig,
     Searcher,
-    _load_record,
+    _array,
     build_evaluator,
     write_checkpoint,
     write_trace_csv,
@@ -431,10 +431,41 @@ def test_write_checkpoint_signed_zero_and_moved_rows(tmp_path):
 
 def test_epoch_record_round_trip():
     s = Searcher(small_config())
-    rec = s.step()
-    doc = json.loads(json.dumps(rec.to_dict()))
-    clone = _load_record(doc, 1, s.num_edges, s.config.num_ops)
-    assert _same_trace([clone], [rec])
+    s.step()
+    clone = Searcher.from_checkpoint(json.loads(json.dumps(s.checkpoint())))
+    (rec,) = clone.trace
+    assert _same_trace(clone.trace, s.trace)
+    assert set(map(type, rec.arch)) == {int} and type(rec.accuracy) is float
+    assert rec.probs.shape == (s.num_edges, s.config.num_ops)
+
+
+@pytest.mark.parametrize("rows,kind,shape", [
+    ([[0.5, 0.5], [1.0]], float, (2, 2)),  # ragged 2-D
+    ([[[0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]], float, (2, 1, 2)),  # ragged 3-D
+    ([[0, 2**64]], int, (1, 2)),  # beyond int64
+    ([[0, 1.5]], int, (1, 2)),  # np.array would truncate it
+    ([[0.5, "0.5"]], float, (1, 2)),  # np.array would parse it
+])
+def test_array_rejects(rows, kind, shape):
+    with pytest.raises(ValueError, match="finite"):
+        _array("x", rows, kind, shape)
+
+
+def test_array_loads():
+    assert _array("x", [], int, (0, 3)).shape == (0, 3)
+    assert _array("x", [], float, (0, 3, 2)).shape == (0, 3, 2)
+    a = _array("x", [[1, 2]], int, (1, 2))
+    assert a.dtype == np.int64 and a.tolist() == [[1, 2]]
+    assert _array("x", [0.25, 1.0], float, (2,)).tolist() == [0.25, 1.0]
+
+
+def test_epoch_zero_checkpoint_round_trip():
+    """An empty trace loads as an empty trace, and the search goes on from it."""
+    s = Searcher(small_config())
+    clone = Searcher.from_checkpoint(json.loads(json.dumps(s.checkpoint())))
+    assert clone.epoch == 0 and clone.trace == []
+    assert clone.run() == s.run()
+    assert _same_trace(clone.trace, s.trace)
 
 
 def test_a_record_keeps_its_epochs_probs():
