@@ -42,14 +42,23 @@ def record_feedback(
     aggregation: str = "latest",
 ) -> None:
     """Credit each edge's sampled op (`ops`: one id per row) with one epoch
-    and the observed accuracy, in place."""
+    and the observed accuracy, in place.  The entries are gathered and
+    scattered through flat views, so `counts` and `acc` must be
+    C-contiguous."""
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError("accuracy must lie in [0, 1]")
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-    ops = np.asarray(ops)[..., None]
-    n = np.take_along_axis(counts, ops, -1) + 1
-    old = np.take_along_axis(acc, ops, -1)
+    if not (counts.flags.c_contiguous and acc.flags.c_contiguous):
+        raise ValueError("counts and acc must be C-contiguous, or the update would land in a copy")
+    ops = np.asarray(ops)
+    m = counts.shape[-1]
+    if not ((0 <= ops) & (ops < m)).all():
+        raise ValueError(f"sampled op ids must lie in [0, {m})")
+    flat = np.arange(0, counts.size, m) + ops
+    counts, acc = counts.ravel(), acc.ravel()
+    n = counts[flat] + 1
+    old = acc[flat]
     if aggregation == "mean":
         new = old + (accuracy - old) / n
     elif aggregation == "max":
@@ -57,8 +66,8 @@ def record_feedback(
     else:  # latest
         new = accuracy
     new = np.where(n == 1, accuracy, new)
-    np.put_along_axis(counts, ops, n, -1)
-    np.put_along_axis(acc, ops, new, -1)
+    counts[flat] = n
+    acc[flat] = new
 
 
 def net_credit(counts: np.ndarray, acc: np.ndarray) -> np.ndarray:

@@ -335,56 +335,130 @@ class Searcher:
         return searcher
 
 
-def _row_texts(trace, format_rows):
-    """Yield each record of `trace` with the text of its probability rows.
-    A row is formatted only where it differs from the same edge's row in the
-    previous record; otherwise that row's text is reused.  Equal rows of
-    floats print the same, except that 0.0 == -0.0: a row holding a zero is
-    always formatted.  A NaN equals no other NaN, so a row holding one is
-    formatted too.  `format_rows` maps one record's changed rows, a list of
-    float lists, to their texts in one call; what it returns for [] is
-    ignored.  The list yielded is updated in place for the next record."""
-    texts = [None] * len(trace[0].probs) if trace else []
-    prev = np.nan  # equal to nothing, so every row of the first record is formatted
-    for record in trace:
-        rows = np.flatnonzero(((record.probs != prev) | (record.probs == 0)).any(axis=1))
-        for e, text in zip(rows.tolist(), format_rows(record.probs[rows].tolist())):
-            texts[e] = text
-        prev = record.probs
-        yield record, texts
+# "%.10f" % x for x in [+0, 1] by integer arithmetic.  np.frexp gives
+# x = M * 2**(e - 53) with M < 2**53, so x * 10**10 = M * 5**10 / 2**(43 - e).
+# M * 5**10 needs 77 bits: it is held as hi * 2**32 + lo in uint64 limbs
+# (M split at bit 32, and 5**10 < 2**24).  Every array stays unsigned, since
+# uint64 mixed with int64 promotes to float64.
+_U = np.uint64
+_LOW32 = _U(2**32 - 1)
+_DIGITS = (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+_QUADS = _DIGITS.view(np.uint32).ravel()  # "%04d" % i as 4 bytes
+_HEADS = _DIGITS[:101].copy()  # "0ddd" -> "d.dd"
+_HEADS[:, 0] = _HEADS[:, 1]
+_HEADS[:, 1] = ord(".")
+_HEADS = _HEADS.view(np.uint32).ravel()  # "%d.%02d" % divmod(i, 100) as 4 bytes
+_BLOCK_ENTRIES = 2**14
+
+
+def _fixed10(probs: np.ndarray) -> np.ndarray:
+    """The bytes of "%.10f" % x for every x of `probs`, as a (..., 12) uint8
+    array; every x must lie in [+0, 1].  Rounding is half to even on the
+    exact binary value, as CPython's correctly rounded %f does, and
+    x < 2**-53 prints zero."""
+    mantissa, exponent = np.frexp(probs)
+    m = (mantissa * 2.0**53).astype(np.uint64)
+    # x * 10**10 = (hi * 2**32 + lo) / 2**(shift + 32); any shift past 63
+    # is an x < 2**-53, whose quotient and round bit are 0 at 63 too.
+    shift = np.minimum(11 - exponent, 63).astype(np.uint64)
+    low = (m & _LOW32) * _U(5**10)
+    hi = (m >> _U(32)) * _U(5**10) + (low >> _U(32))
+    q = hi >> shift
+    shift -= _U(1)
+    half = (hi >> shift) & _U(1)
+    rest = (hi & ((_U(1) << shift) - _U(1))) | (low & _LOW32)
+    q += half & ((rest != 0) | (q & _U(1)))
+    # q <= 10**10 prints as "d.dd" "dddd" "dddd".
+    top = q // _U(10**8)
+    q -= top * _U(10**8)
+    mid = q // _U(10**4)
+    q -= mid * _U(10**4)
+    out = np.empty(probs.shape + (3,), np.uint32)
+    out[..., 0] = _HEADS[top]
+    out[..., 1] = _QUADS[mid]
+    out[..., 2] = _QUADS[q]
+    return out.view(np.uint8)
+
+
+def _csv_prob_rows(probs: np.ndarray) -> list:
+    """The probability fields of each row of `probs` (..., M) as they end a
+    trace.csv line: "%.10f" entries joined by commas, then CRLF, as bytes.
+    A row holding an entry outside [+0, 1] (-0.0, a negative, above 1, NaN)
+    is printed by Python's own format."""
+    rows = probs.reshape(-1, probs.shape[-1])
+    ok = (rows >= 0) & (rows <= 1) & ~np.signbit(rows)
+    bad = np.flatnonzero(~ok.all(axis=1))
+    entries = np.empty(rows.shape + (13,), np.uint8)
+    entries[..., :12] = _fixed10(np.where(ok, rows, 0.0) if len(bad) else rows)
+    entries[..., 12] = ord(",")
+    line = np.empty((len(rows), entries[0].size + 1), np.uint8)
+    line[:, :-1] = entries.reshape(len(rows), -1)
+    line[:, -2:] = (ord("\r"), ord("\n"))  # in place of the last comma
+    texts = line.view(f"S{line.shape[1]}").ravel().tolist()
+    row_format = ",".join(["%.10f"] * rows.shape[1]) + "\r\n"
+    for i, row in zip(bad.tolist(), rows[bad].tolist()):
+        texts[i] = (row_format % tuple(row)).encode()
+    return texts
 
 
 def write_trace_csv(path, trace, edges_per_cell: int, num_ops: int) -> None:
     """One row per (epoch, cell, edge): the sampled op, the shared accuracy,
-    and the post-update probability vector.  No field ever needs quoting, so
-    each row is one format call, ended by CRLF as csv.writer ends its rows."""
+    and the post-update probability vector.  No field ever needs quoting, and
+    rows end in CRLF as csv.writer ends them.  The records are written in
+    blocks of at most _BLOCK_ENTRIES probabilities, each printed by one
+    _csv_prob_rows call and written by one join."""
     header = ["epoch", "accuracy", "cell_kind", "edge_index", "sampled_op"]
     header += [f"prob_{i}" for i in range(num_ops)]
-    edge_prefixes = [f"{kind},{i}," for kind in CELL_KINDS for i in range(edges_per_cell)]
-    row_format = ",".join(["%.10f"] * num_ops) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for record, texts in _row_texts(trace, lambda rows: [row_format % tuple(r) for r in rows]):
-            head = "%d,%.10f," % (record.epoch, record.accuracy)
-            fh.write("".join([
-                "%s%s%d,%s" % (head, prefix, op, text)
-                for prefix, op, text in zip(edge_prefixes, record.arch, texts)
-            ]))
+    # The cell kind, edge index and sampled op of each edge, by op id.
+    edge_ops = [
+        [f"{kind},{i},{op},".encode() for op in range(num_ops)]
+        for kind in CELL_KINDS
+        for i in range(edges_per_cell)
+    ]
+    per_block = max(1, _BLOCK_ENTRIES // (len(edge_ops) * num_ops))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(trace), per_block):
+            block = trace[start : start + per_block]
+            heads = [b"%d,%.10f," % (record.epoch, record.accuracy) for record in block]
+            parts = [None] * (3 * len(block) * len(edge_ops))
+            parts[0::3] = [head for head in heads for _ in edge_ops]
+            parts[1::3] = [ops[op] for record in block for ops, op in zip(edge_ops, record.arch)]
+            parts[2::3] = _csv_prob_rows(np.stack([record.probs for record in block]))
+            fh.write(b"".join(parts))
 
 
 def write_checkpoint(path, searcher: Searcher) -> None:
     """Write json.dumps(searcher.checkpoint()) to `path`, streamed: the
     state, then one trace record at a time, so the whole document is never
-    held as lists or as one string."""
+    held as lists or as one string.
+
+    A probability entry is formatted only where it differs from the same
+    entry in the previous record; otherwise its text is reused.  Equal
+    floats print the same, except that 0.0 == -0.0, so a zero is always
+    formatted, and a NaN equals nothing, so it is too.  A record's changed
+    entries are formatted by one json.dumps of them all, split at ", ",
+    which no float's text holds."""
     with open(path, "w") as fh:
         fh.write(json.dumps(searcher._state())[:-1] + ', "trace": [')
+        if searcher.trace:
+            num_edges, num_ops = searcher.trace[0].probs.shape
+            # Entry i's text at 2 * i, then the separator that follows it.
+            parts = [", "] * (2 * num_edges * num_ops)
+            parts[2 * num_ops - 1 :: 2 * num_ops] = ["], ["] * num_edges
+            parts[-1] = ""
+        prev = np.nan  # equal to nothing, so every entry of the first record is formatted
         sep = ""
-        # One json.dumps of a record's changed rows, split between them: no float holds a ].
-        format_rows = lambda rows: json.dumps(rows)[2:-2].split("], [")
-        for record, texts in _row_texts(searcher.trace, format_rows):
+        for record in searcher.trace:
+            flat = record.probs.ravel()
+            changed = (flat != prev) | (flat == 0)
+            texts = json.dumps(flat[changed].tolist())[1:-1].split(", ")
+            for i, text in zip((2 * np.flatnonzero(changed)).tolist(), texts):
+                parts[i] = text
+            prev = flat
             head = json.dumps(
                 {"epoch": record.epoch, "arch": list(record.arch), "accuracy": record.accuracy}
             )
-            fh.write(f'{sep}{head[:-1]}, "probs": [[{"], [".join(texts)}]]}}')
+            fh.write(f'{sep}{head[:-1]}, "probs": [[{"".join(parts)}]]}}')
             sep = ", "
         fh.write("]}")

@@ -181,6 +181,27 @@ def test_record_feedback_rejects_bad_accuracy():
         record_feedback(counts, acc, 0, -0.1)
 
 
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+@pytest.mark.parametrize("which", ["counts", "acc"])
+def test_record_feedback_rejects_non_contiguous_state(layout, which):
+    """ravel() of such an array is a copy, so the update would be lost."""
+    state = {"counts": np.zeros((3, 4), dtype=np.int64), "acc": np.zeros((3, 4))}
+    base = state[which]
+    state[which] = np.asfortranarray(base) if layout == "fortran" else np.zeros((3, 8), base.dtype)[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        record_feedback(state["counts"], state["acc"], [0, 1, 2], 0.5)
+    assert not state[which].any()
+
+
+@pytest.mark.parametrize("ops", [[0, 4, 1], [0, -1, 1], 4])
+def test_record_feedback_rejects_op_ids_outside_the_row(ops):
+    """A flat index past its row would credit the next edge's op."""
+    counts, acc = np.zeros((3, 4), dtype=np.int64), np.zeros((3, 4))
+    with pytest.raises(ValueError, match="op ids"):
+        record_feedback(counts, acc, ops, 0.5)
+    assert not counts.any() and not acc.any()
+
+
 def test_net_credit_hand_example():
     _, counts, acc = _records(2)
     record_feedback(counts, acc, 0, 0.9)

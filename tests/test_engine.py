@@ -10,7 +10,9 @@ from mdnas.engine import (
     EpochRecord,
     SearchConfig,
     Searcher,
+    _BLOCK_ENTRIES,
     _array,
+    _fixed10,
     build_evaluator,
     write_checkpoint,
     write_trace_csv,
@@ -333,6 +335,78 @@ def test_write_trace_csv_matches_csv_writer_bytes(tmp_path, num_intermediate, nu
     assert got.read_bytes() == expected.read_bytes()
 
 
+def _assert_fixed10(values):
+    x = np.array(values, dtype=float)
+    got = _fixed10(x).view("S12").ravel().tolist()
+    assert got == [b"%.10f" % v for v in x.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+def test_fixed10_matches_percent_format(values):
+    _assert_fixed10(values)
+
+
+def test_fixed10_rounds_ties_half_to_even():
+    """x * 10**10 is a tie exactly when x is an odd multiple of 2**-11
+    (2**-11 * 10**10 = 4882812.5); all 1,024 of them in [0, 1], both ways."""
+    ties = np.arange(1, 2048, 2) / 2048
+    assert b"%.10f" % 2.0**-11 == b"0.0004882812"
+    _assert_fixed10(ties)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda j: st.tuples(st.integers(0, 2**j), st.just(j))))
+def test_fixed10_dyadic_values(kj):
+    k, j = kj
+    _assert_fixed10([k / 2**j])
+
+
+def test_fixed10_ends_floor_and_tiny_values():
+    tiny = [5e-324, 2.5e-310, np.nextafter(2.0**-1022, 0), 2.0**-1022, 1e-300, 2.0**-54,
+            np.nextafter(2.0**-53, 0), 2.0**-53, np.nextafter(2.0**-53, 1), 2.0**-52, 1e-11]
+    _assert_fixed10([0.0, 1.0, PROB_FLOOR, np.nextafter(1.0, 0)] + tiny)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**10 - 1), st.integers(-3, 3))
+def test_fixed10_next_to_rounding_boundaries(digits, ulps):
+    """The doubles a few ulps either side of (digits + 1/2) * 10**-10, where
+    "%.10f" turns from `digits` to `digits + 1`."""
+    x = (digits + 0.5) * 1e-10
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.sign(ulps))
+    _assert_fixed10([x])
+
+
+def test_fixed10_keeps_the_shape():
+    assert _fixed10(np.zeros((3, 2, 5))).shape == (3, 2, 5, 12)
+
+
+def test_write_trace_csv_spans_blocks_and_prints_odd_rows_by_python(tmp_path):
+    """More records than one block holds, with rows the kernel must leave to
+    Python's format: -0.0, a negative, NaN, +-inf and a value above 1."""
+    edges, num_ops = 2 * 7, 8  # num_intermediate=2
+    per_block = _BLOCK_ENTRIES // (edges * num_ops)
+    rng = np.random.default_rng(5)
+    odd = [-0.0, -1e-12, float("nan"), float("inf"), float("-inf"), 1.5]
+    trace = []
+    for epoch in range(1, 2 * per_block + 8):
+        probs = rng.dirichlet(np.ones(num_ops), size=edges)
+        probs[rng.random(probs.shape) < 0.3] = PROB_FLOOR
+        if epoch % 7 == 0:
+            for e in range(0, edges, 3):
+                probs[e, rng.integers(num_ops)] = odd[(epoch + e) % len(odd)]
+        arch = tuple(rng.integers(num_ops, size=edges).tolist())
+        trace.append(EpochRecord(epoch, arch, float(rng.random()), probs))
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    write_trace_csv(got, trace, edges // 2, num_ops)
+    _reference_write_trace_csv(expected, trace, edges // 2, num_ops)
+    assert len(trace) > 2 * per_block
+    assert all(b"%.10f" % x in got.read_bytes() for x in odd)
+    assert got.read_bytes() == expected.read_bytes()
+
+
 def _checkpoint_bytes(tmp_dir, searcher):
     path = tmp_dir / "checkpoint.json"
     write_checkpoint(path, searcher)
@@ -427,6 +501,29 @@ def test_write_checkpoint_signed_zero_and_moved_rows(tmp_path):
         EpochRecord(epoch, (0, 1), 0.5, np.array(p)) for epoch, p in enumerate(probs, start=1)
     ]
     assert _checkpoint_bytes(tmp_path, searcher) == json.dumps(searcher.checkpoint()).encode()
+
+
+def test_write_checkpoint_reuses_entry_texts(tmp_path):
+    """Records in which one entry per row changes, a NaN that stays in place
+    across records, and a zero whose sign flips while its row holds still."""
+    rng = np.random.default_rng(3)
+    probs = rng.dirichlet(np.ones(3), size=4)
+    probs[1, 2] = np.nan
+    probs[3, 0] = 0.0
+    records = [probs]
+    for epoch in range(2, 9):
+        probs = probs.copy()
+        probs[np.arange(4), rng.integers(3, size=4)] = rng.random(4)
+        probs[1, 2] = np.nan
+        probs[3, 0] = (-0.0, 0.0)[epoch % 2]
+        records.append(probs)
+    searcher = Searcher(small_config(num_intermediate=1, num_ops=3))
+    searcher.trace = [
+        EpochRecord(epoch, (0, 1, 2, 0), 0.5, p) for epoch, p in enumerate(records, start=1)
+    ]
+    text = _checkpoint_bytes(tmp_path, searcher)
+    assert text == json.dumps(searcher.checkpoint()).encode()
+    assert text.count(b"[-0.0, ") == 4 and text.count(b"NaN") == 8
 
 
 def test_epoch_record_round_trip():
